@@ -32,6 +32,22 @@ Status Inverda::CheckNoActiveMigration() const {
   return Status::OK();
 }
 
+Status Inverda::Materialize(const MaterializeRequest& request) {
+  if (!request.targets.empty() && request.schema.has_value()) {
+    return Status::InvalidArgument(
+        "materialize request: set targets or schema, not both");
+  }
+  if (request.targets.empty() && !request.schema.has_value()) {
+    return Status::InvalidArgument(
+        "materialize request: set targets or schema");
+  }
+  // The coordinator takes the exclusive catalog lock itself; we must hold
+  // no locks here.
+  INVERDA_RETURN_IF_ERROR(migrate_.Start(request));
+  if (request.online && request.wait) return migrate_.Wait();
+  return Status::OK();
+}
+
 Status Inverda::WaitForMigration() { return migrate_.Wait(); }
 
 Status Inverda::AbortMigration() { return migrate_.Abort(); }

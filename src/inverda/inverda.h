@@ -372,14 +372,15 @@ class AccessLayer : public AccessBackend {
   static thread_local WriteTrace last_trace_;
 };
 
-/// One materialization request — the single argument of the unified
-/// Materialize entry point. Exactly one variant must be set: `targets`
-/// (MATERIALIZE syntax, "Version" or "Version.table") or an explicit
-/// materialization `schema` (SMO instance ids). `online` selects the
-/// non-blocking coordinator path (docs/migration.md); `wait` (online only)
-/// additionally blocks until the background migration reaches a terminal
-/// phase and returns its terminal status. The blocking path is inherently
-/// synchronous, so it ignores `wait`.
+/// One materialization request — the single argument of Materialize.
+/// Exactly one variant must be set: `targets` (MATERIALIZE syntax,
+/// "Version" or "Version.table") or an explicit materialization `schema`
+/// (SMO instance ids). Both modes run the same MigrationCoordinator job
+/// (docs/migration.md): `online` runs it in the background while clients
+/// keep running, and `wait` (online only) additionally blocks until it
+/// reaches a terminal phase and returns its terminal status. A blocking
+/// request runs the job inline and returns its status, so it ignores
+/// `wait`.
 struct MaterializeRequest {
   std::vector<std::string> targets;
   std::optional<std::set<SmoId>> schema;
@@ -442,29 +443,19 @@ class Inverda {
 
   // --- DBA interface ---------------------------------------------------------
 
-  /// The Database Migration Operation, unified entry point: moves the
-  /// physical data so the requested targets (or the explicit schema) are
-  /// physically stored, migrates auxiliary state, and drops stale physical
-  /// tables. Blocking by default (exclusive DDL lock, all-or-nothing with
-  /// rollback on failure); `request.online` runs it through the background
-  /// MigrationCoordinator instead — readers and writers keep running while
-  /// the coordinator backfills chunk-by-chunk and replays concurrently
-  /// captured writes, and the commit is a brief exclusive epoch flip.
-  /// While a migration is active all other DDL (evolution, drops, blocking
-  /// MATERIALIZE, Reshard, a second online migration) is rejected with
-  /// InvalidState.
+  /// The Database Migration Operation: moves the physical data so the
+  /// requested targets (or the explicit schema) are physically stored,
+  /// migrates auxiliary state, and drops stale physical tables,
+  /// all-or-nothing. One engine, the MigrationCoordinator, runs it either
+  /// way. Blocking by default: the job runs inline under the exclusive DDL
+  /// lock, deriving every staged table once. `request.online` runs it in
+  /// the background instead — readers and writers keep running while the
+  /// coordinator backfills chunk-by-chunk and replays concurrently captured
+  /// writes, and the commit is a brief exclusive epoch flip. Both modes are
+  /// recorded in MigrationState(). While an online migration is active all
+  /// other DDL (evolution, drops, a second MATERIALIZE, Reshard) is
+  /// rejected with InvalidState; behind a blocking one it waits.
   Status Materialize(const MaterializeRequest& request);
-
-  /// Deprecated pre-unification spellings; one-PR shims over
-  /// Materialize(MaterializeRequest).
-  [[deprecated("use Materialize(const MaterializeRequest&)")]]
-  Status Materialize(const std::vector<std::string>& targets);
-  [[deprecated("use Materialize(MaterializeRequest::Schema(m))")]]
-  Status MaterializeSchema(const std::set<SmoId>& m);
-  [[deprecated("use Materialize(MaterializeRequest::Targets(t, true, false))")]]
-  Status MaterializeOnline(const std::vector<std::string>& targets);
-  [[deprecated("use Materialize(MaterializeRequest::Schema(m, true, false))")]]
-  Status MaterializeSchemaOnline(const std::set<SmoId>& m);
 
   // --- online migration (docs/migration.md) ----------------------------------
 
@@ -556,10 +547,8 @@ class Inverda {
 
   /// The unified stats surface (docs/observability.md): every component's
   /// counters and latency histograms — plan cache, view cache, compiler,
-  /// latches, per-kernel timings, tracer — in one registry. Safe to
-  /// snapshot concurrently with client traffic. Replaces the scattered
-  /// per-component accessors (plan_stats / cache_hits / ... on the access
-  /// layer), which remain as deprecated shims for one PR.
+  /// latches, per-kernel timings, migrations, tracer — in one registry.
+  /// Safe to snapshot concurrently with client traffic.
   obs::MetricsRegistry& Metrics() { return obs_.metrics; }
   const obs::MetricsRegistry& Metrics() const { return obs_.metrics; }
 
@@ -607,14 +596,6 @@ class Inverda {
   Result<std::vector<KeyedRow>> SelectWhereLocked(const std::string& version,
                                                   const std::string& table,
                                                   const Expression& predicate);
-  Status MaterializeLocked(const std::vector<std::string>& targets);
-  Status MaterializeSchemaLocked(const std::set<SmoId>& m);
-
-  /// Resolves MATERIALIZE targets ("Version" or "Version.table") to the
-  /// materialization schema they imply (shared by the blocking and online
-  /// paths; requires catalog_mu_).
-  Result<std::set<SmoId>> ResolveMaterializationLocked(
-      const std::vector<std::string>& targets);
 
   /// InvalidState while an online migration is active; DDL callers check
   /// this after taking the exclusive lock.

@@ -9,6 +9,7 @@
 
 #include "inverda/inverda.h"
 #include "obs/observability.h"
+#include "util/strings.h"
 
 namespace inverda {
 namespace migrate {
@@ -41,6 +42,49 @@ bool ComponentKeyStable(const VersionCatalog& catalog,
     }
   }
   return true;
+}
+
+// Resolves MATERIALIZE targets ("Version" or "Version.table") to the
+// materialization schema they imply.
+Result<std::set<SmoId>> ResolveTargets(
+    const VersionCatalog& catalog, const std::vector<std::string>& targets) {
+  std::vector<TvId> tables;
+  for (const std::string& target : targets) {
+    std::vector<std::string> parts = Split(target, '.');
+    if (parts.size() == 1) {
+      INVERDA_ASSIGN_OR_RETURN(const SchemaVersionInfo* info,
+                               catalog.FindVersion(parts[0]));
+      for (const auto& [name, tv] : info->tables) {
+        (void)name;
+        tables.push_back(tv);
+      }
+    } else if (parts.size() == 2) {
+      INVERDA_ASSIGN_OR_RETURN(TvId tv,
+                               catalog.ResolveTable(parts[0], parts[1]));
+      tables.push_back(tv);
+    } else {
+      return Status::InvalidArgument("bad MATERIALIZE target: " + target);
+    }
+  }
+  return catalog.MaterializationForTables(tables);
+}
+
+// The MIGRATIONS label: "TasKy2,Do!" for targets, "schema{3 5}" for an
+// explicit schema.
+std::string RequestLabel(const MaterializeRequest& request) {
+  std::string label;
+  if (request.schema.has_value()) {
+    for (SmoId id : *request.schema) {
+      label += label.empty() ? "schema{" : " ";
+      label += std::to_string(id);
+    }
+    return label.empty() ? "schema{}" : label + "}";
+  }
+  for (const std::string& t : request.targets) {
+    if (!label.empty()) label += ",";
+    label += t;
+  }
+  return label;
 }
 
 }  // namespace
@@ -121,45 +165,34 @@ Status MigrationCoordinator::Reap() {
   return Status::OK();
 }
 
-Status MigrationCoordinator::Start(const std::vector<std::string>& targets) {
+Status MigrationCoordinator::Start(const MaterializeRequest& request) {
   std::lock_guard<std::mutex> admission(start_mu_);
   INVERDA_RETURN_IF_ERROR(Reap());
-  std::string label;
-  for (const std::string& t : targets) {
-    if (!label.empty()) label += ",";
-    label += t;
+  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
+  std::set<SmoId> m;
+  if (request.schema.has_value()) {
+    m = *request.schema;
+  } else {
+    INVERDA_ASSIGN_OR_RETURN(m,
+                             ResolveTargets(owner_->catalog_, request.targets));
   }
-  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
-  INVERDA_ASSIGN_OR_RETURN(
-      std::set<SmoId> m, owner_->ResolveMaterializationLocked(targets));
-  Status admitted = StartLocked(m, std::move(label));
-  ddl.unlock();
-  if (admitted.ok() && active()) worker_ = std::thread([this] { Run(); });
-  return admitted;
-}
-
-Status MigrationCoordinator::StartSchema(const std::set<SmoId>& m) {
-  std::lock_guard<std::mutex> admission(start_mu_);
-  INVERDA_RETURN_IF_ERROR(Reap());
-  std::string label = "schema{";
-  for (SmoId id : m) label += std::to_string(id) + " ";
-  if (label.back() == ' ') label.back() = '}';
-  else label += "}";
-  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
-  Status admitted = StartLocked(m, std::move(label));
-  ddl.unlock();
-  if (admitted.ok() && active()) worker_ = std::thread([this] { Run(); });
-  return admitted;
+  INVERDA_RETURN_IF_ERROR(StartLocked(m, RequestLabel(request),
+                                      request.online));
+  if (!active()) return Status::OK();  // nothing to move; recorded as done
+  if (request.online) {
+    ddl.unlock();
+    worker_ = std::thread([this] { Run(); });
+    return Status::OK();
+  }
+  // Blocking: the same job run inline, as one exclusive window.
+  obs::ScopedTimer flip_timer(mig_flip_ns_);
+  Status status = FlipLocked(std::chrono::steady_clock::now());
+  FinishLocked(status);
+  return status;
 }
 
 Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
-                                         std::string label) {
-  // Re-check under the exclusive catalog lock, like every other DDL path
-  // (start_mu_ already serializes the Start paths; this keeps the invariant
-  // local and covers any future caller).
-  if (active()) {
-    return Status::InvalidState("an online migration is already in progress");
-  }
+                                         std::string label, bool online) {
   VersionCatalog& catalog = owner_->catalog_;
   INVERDA_RETURN_IF_ERROR(catalog.CheckValidMaterialization(m));
 
@@ -180,7 +213,6 @@ Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
   }
 
   auto job = std::make_unique<Job>();
-  job->label = label;
   job->target_m = m;
   for (SmoId id : catalog.AllSmos()) {
     const SmoInstance& inst = catalog.smo(id);
@@ -205,7 +237,8 @@ Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
     entry->tv = tv;
     entry->physical_name = catalog.DataTableName(tv);
     entry->component = catalog.ComponentOf(tv);
-    entry->key_stable = ComponentKeyStable(catalog, entry->component);
+    entry->key_stable =
+        online && ComponentKeyStable(catalog, entry->component);
     job->entries.push_back(std::move(entry));
   }
   // Staged aux tables: the flipped side's newly required aux, always on the
@@ -251,10 +284,13 @@ Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
     last_id_ += 1;
   }
   abort_.store(false, std::memory_order_release);
-  phase_.store(static_cast<int>(Phase::kCopy), std::memory_order_release);
+  phase_.store(static_cast<int>(online ? Phase::kCopy : Phase::kFlip),
+               std::memory_order_release);
   job_ = std::move(job);
   // Go live: from here every top-level write reports into the delta logs.
-  owner_->access_.set_write_observer(this);
+  // A blocking job holds the exclusive lock until it ends, so no write can
+  // land while it runs and there is nothing to capture.
+  if (online) owner_->access_.set_write_observer(this);
   active_.store(true, std::memory_order_release);
   mig_started_->Add(1);
   return Status::OK();
@@ -332,7 +368,11 @@ Status MigrationCoordinator::AbortedStatus() const {
   return Status::InvalidState("online migration aborted");
 }
 
-void MigrationCoordinator::Run() { Finish(RunPhases()); }
+void MigrationCoordinator::Run() {
+  Status status = RunPhases();
+  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
+  FinishLocked(std::move(status));
+}
 
 Status MigrationCoordinator::RunPhases() {
   INVERDA_RETURN_IF_ERROR(EnterPhase(Phase::kCopy));
@@ -436,14 +476,21 @@ Status MigrationCoordinator::CatchUpPhase() {
 }
 
 Status MigrationCoordinator::FlipPhase() {
-  Job* job = job_.get();
   obs::ScopedTimer flip_timer(mig_flip_ns_);
   auto flip_start = std::chrono::steady_clock::now();
   std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
+  return FlipLocked(flip_start);
+}
+
+Status MigrationCoordinator::FlipLocked(
+    std::chrono::steady_clock::time_point start) {
+  Job* job = job_.get();
   // Final drain. Captures happen under the shared catalog lock, so holding
   // it exclusively makes the delta logs complete and frozen: replaying them
   // now is exact, and the remaining work is proportional to the keys
-  // written since the last catch-up round — the bounded flip window.
+  // written since the last catch-up round — the bounded flip window. A
+  // blocking job has no delta logs: each of its entries is derived here,
+  // once, in staging order (which keeps id assignment deterministic).
   int64_t flip_work = 0;
   for (const auto& ep : job->entries) {
     StagedEntry* e = ep.get();
@@ -464,7 +511,7 @@ Status MigrationCoordinator::FlipPhase() {
   owner_->access_.set_write_observer(nullptr);
   Status committed = CommitLocked(job);
   flip_ns_.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - flip_start)
+                     std::chrono::steady_clock::now() - start)
                      .count(),
                  std::memory_order_relaxed);
   return committed;
@@ -473,55 +520,39 @@ Status MigrationCoordinator::FlipPhase() {
 Status MigrationCoordinator::CommitLocked(Job* job) {
   VersionCatalog& catalog = owner_->catalog_;
   Database& db = owner_->db_;
-  // Snapshot first so any failure restores the old world bit-for-bit. The
-  // materialization bits flip — and the epoch bumps — only after every
-  // fallible step succeeded, so a rolled-back commit leaves the plan cache
-  // epoch exactly where it was.
-  Database::SnapshotState snapshot = db.Snapshot();
-  Status status = Status::OK();
-  // Drop stale physical data tables.
+  // The stale tables: physical data tables that stop being physical, and
+  // the aux tables of flipped SMOs that the new state no longer keeps.
+  std::vector<std::string> stale;
   for (TvId tv : job->old_physical) {
-    if (job->new_physical.count(tv)) continue;
-    Status s = db.DropTable(catalog.DataTableName(tv));
-    if (!s.ok()) status = s;
+    if (job->new_physical.count(tv) == 0) {
+      stale.push_back(catalog.DataTableName(tv));
+    }
   }
-  // Drop stale aux tables.
   for (SmoId id : job->flipping) {
-    const SmoInstance& inst = catalog.smo(id);
-    bool new_state = job->target_m.count(id) > 0;
-    std::vector<std::string> keep = catalog.PhysicalAuxNames(id, new_state);
+    std::vector<std::string> keep =
+        catalog.PhysicalAuxNames(id, job->target_m.count(id) > 0);
     for (const std::string& aux :
-         catalog.PhysicalAuxNames(id, inst.materialized)) {
-      bool kept = false;
-      for (const std::string& k : keep) {
-        if (k == aux) kept = true;
+         catalog.PhysicalAuxNames(id, catalog.smo(id).materialized)) {
+      if (std::find(keep.begin(), keep.end(), aux) == keep.end()) {
+        stale.push_back(catalog.AuxTableName(id, aux));
       }
-      if (kept) continue;
-      Status s = db.DropTable(catalog.AuxTableName(id, aux));
-      if (!s.ok()) status = s;
     }
   }
-  // Install the staged tables.
-  if (status.ok()) {
-    for (const auto& ep : job->entries) {
-      Status s = db.CreateTable(ep->content.schema());
-      if (!s.ok()) {
-        status = s;
-        break;
-      }
-      Result<Table*> table = db.GetTable(ep->physical_name);
-      if (!table.ok()) {
-        status = table.status();
-        break;
-      }
-      **table = std::move(ep->content);
+  // Check, then apply: every failure is detected before the first change,
+  // so a failed commit leaves storage, the materialization bits and the
+  // epoch — and with it the plan cache — exactly as they were.
+  for (const std::string& name : stale) {
+    if (!db.HasTable(name)) return Status::NotFound("table " + name);
+  }
+  for (const auto& ep : job->entries) {
+    if (db.HasTable(ep->physical_name)) {
+      return Status::AlreadyExists("table " + ep->physical_name);
     }
   }
-  if (!status.ok()) {
-    db.Restore(std::move(snapshot));
-    return status;
-  }
-  // Point of no return: flip the bits, bump the epoch, refresh caches.
+  // Apply: after the checks, neither call below can fail.
+  for (const std::string& name : stale) (void)db.DropTable(name);
+  for (const auto& ep : job->entries) (void)db.AddTable(std::move(ep->content));
+  // Flip the bits, bump the epoch, refresh caches.
   for (SmoId id : job->flipping) {
     catalog.mutable_smo(id).materialized = job->target_m.count(id) > 0;
   }
@@ -640,17 +671,14 @@ Status MigrationCoordinator::RefreshEntry(StagedEntry* e, bool exclusive_held,
   return Status::OK();
 }
 
-void MigrationCoordinator::Finish(Status status) {
+void MigrationCoordinator::FinishLocked(Status status) {
   bool aborted = !status.ok() && abort_.load(std::memory_order_acquire);
-  // Quiesce capture: acquiring the catalog lock exclusively waits out every
-  // in-flight writer (captures run under the shared lock), after which the
-  // observer is detached and the staged state can be destroyed. On the
-  // committed path the flip already detached it — this is idempotent.
-  {
-    std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
-    owner_->access_.set_write_observer(nullptr);
-    job_.reset();
-  }
+  // The exclusive catalog lock has waited out every in-flight writer
+  // (captures run under the shared lock), so the observer can be detached
+  // and the staged state destroyed. On the committed path the flip already
+  // detached it — this is idempotent.
+  owner_->access_.set_write_observer(nullptr);
+  job_.reset();
   Phase terminal = status.ok() ? Phase::kDone
                    : aborted   ? Phase::kAborted
                                : Phase::kFailed;

@@ -2,6 +2,7 @@
 #define INVERDA_MIGRATE_COORDINATOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -22,6 +23,7 @@
 namespace inverda {
 
 class Inverda;
+struct MaterializeRequest;
 
 namespace obs {
 struct Observability;
@@ -31,14 +33,14 @@ class Histogram;
 
 namespace migrate {
 
-/// Lifecycle of one background migration (docs/migration.md). kIdle only
-/// before the first Start; every admitted migration ends in exactly one of
-/// the three terminal phases.
+/// Lifecycle of one migration (docs/migration.md). kIdle only before the
+/// first Start; every admitted migration ends in exactly one of the three
+/// terminal phases. A blocking migration spends its whole run in kFlip.
 enum class Phase {
   kIdle,     ///< no migration has run yet
   kCopy,     ///< chunked backfill of the staged tables under shared DDL
   kCatchUp,  ///< delta-log replay of concurrently captured keys
-  kFlip,     ///< brief exclusive window: final drain, swap, epoch bump
+  kFlip,     ///< exclusive window: final derivation, swap, epoch bump
   kDone,     ///< committed
   kAborted,  ///< unwound on request; live state untouched
   kFailed,   ///< unwound on error; live state untouched
@@ -59,7 +61,7 @@ struct MigrationStatus {
   int64_t keys_drained = 0;
   int64_t catchup_rounds = 0;
   int64_t refreshes = 0;
-  int64_t flip_keys = 0;  ///< keys drained inside the exclusive flip window
+  int64_t flip_keys = 0;  ///< keys/entries derived inside the flip window
   int64_t flip_ns = 0;    ///< duration of the exclusive flip window
   Status result;          ///< terminal status of the last finished migration
 };
@@ -81,28 +83,33 @@ class WriteObserver {
 /// Test-only fault-injection and pacing hooks (install before Start; never
 /// used in production paths).
 struct TestHooks {
-  /// Called on entering each phase, outside all locks. Returning an error
-  /// fails the migration at that boundary; the unwind must leave the
-  /// engine exactly as before Start.
+  /// Called on entering each online phase, outside all locks. Returning an
+  /// error fails the migration at that boundary; the unwind must leave the
+  /// engine exactly as before Start. Blocking runs hold the exclusive lock
+  /// throughout and skip it.
   std::function<Status(Phase)> on_phase;
   /// Called after each copied chunk / refresh, outside all locks — pacing
-  /// for the under-traffic tests.
+  /// for the under-traffic tests. Online only, like on_phase.
   std::function<void()> after_chunk;
-  /// Called inside the exclusive flip window, after the final drain but
-  /// before any physical table is touched.
+  /// Called inside the exclusive flip window, after the final derivation
+  /// but before any physical table is touched. Both modes.
   std::function<Status()> before_flip_commit;
   /// Keys per copy chunk; 0 keeps the default (512).
   int chunk_keys = 0;
 };
 
-/// Background, non-blocking MATERIALIZE (docs/migration.md): copies the
-/// target physical tables chunk-by-chunk while readers and writers keep
-/// running under the normal shared DDL lock, captures concurrent writes
-/// through a key-scoped delta log fed by the access layer's write observer,
-/// replays them in catch-up rounds, and commits with a brief exclusive
-/// epoch flip. Abort or failure at any phase before the commit leaves the
-/// live database bit-for-bit untouched (staging happens off to the side and
-/// the materialization epoch never moves).
+/// The one migration engine behind MATERIALIZE (docs/migration.md). Every
+/// migration is staged the same way, off to the side, and committed by the
+/// same all-or-nothing CommitLocked; failure at any point before the commit
+/// leaves the live database and the materialization epoch untouched.
+///
+/// Online, it copies the target physical tables chunk-by-chunk while
+/// readers and writers keep running under the normal shared DDL lock,
+/// captures concurrent writes through a key-scoped delta log fed by the
+/// access layer's write observer, replays them in catch-up rounds, and
+/// commits with a brief exclusive epoch flip. Blocking, it runs the same
+/// job inline as one exclusive window: no capture, no chunking, no worker
+/// thread — every staged table is derived once, wholesale, then committed.
 ///
 /// One migration runs at a time. The facade rejects all other DDL while a
 /// migration is active, so the genealogy the coordinator captured at Start
@@ -115,14 +122,14 @@ class MigrationCoordinator : public WriteObserver {
   MigrationCoordinator(const MigrationCoordinator&) = delete;
   MigrationCoordinator& operator=(const MigrationCoordinator&) = delete;
 
-  /// Admits a background migration to the materialization implied by
-  /// `targets` ("Version" or "Version.table", as MATERIALIZE). Returns once
+  /// Admits a migration to the materialization `request` names (targets
+  /// "Version" or "Version.table", as MATERIALIZE, or an explicit schema;
+  /// the facade has checked that exactly one is set). Online, returns once
   /// the migration is staged and the capture hook is live; the copy runs on
-  /// a background thread. Rejects with InvalidState when one is active.
-  Status Start(const std::vector<std::string>& targets);
-
-  /// Start for an explicit materialization schema (by SMO instance ids).
-  Status StartSchema(const std::set<SmoId>& m);
+  /// a background thread. Blocking, runs the job to its terminal phase
+  /// under the exclusive catalog lock and returns its status. Rejects with
+  /// InvalidState while a migration is active.
+  Status Start(const MaterializeRequest& request);
 
   /// Blocks until no migration is active and returns the terminal status
   /// of the last migration (OK when none ever ran). Must not be called
@@ -160,7 +167,7 @@ class MigrationCoordinator : public WriteObserver {
     /// True when every SMO in the component maps a write with key set K to
     /// view changes at keys within K (everything except DECOMPOSE/JOIN with
     /// a non-PK method) — the precondition for key-scoped capture. Aux
-    /// entries are always refreshed wholesale.
+    /// entries and every entry of a blocking job are refreshed wholesale.
     bool key_stable = false;
     std::set<TvId> component;  ///< genealogy component, for capture routing
     Table content;
@@ -180,8 +187,6 @@ class MigrationCoordinator : public WriteObserver {
   /// exclusive catalog lock; entry addresses are stable for the lifetime
   /// of the job (capture threads index into them).
   struct Job {
-    int64_t id = 0;
-    std::string label;
     std::set<SmoId> target_m;
     std::vector<SmoId> flipping;
     std::set<TvId> old_physical;
@@ -191,11 +196,13 @@ class MigrationCoordinator : public WriteObserver {
 
   using DerivedRows = std::vector<std::pair<int64_t, std::optional<Row>>>;
 
-  /// Stages the job and installs the capture hook. Requires start_mu_ and
-  /// the facade's exclusive catalog lock; publishes a new migration id only
+  /// Stages the job and, online, installs the capture hook; blocking jobs
+  /// put every entry on the wholesale path. Requires start_mu_ and the
+  /// facade's exclusive catalog lock; publishes a new migration id only
   /// once staging succeeded, so a rejected admission leaves the previous
   /// migration's snapshot intact.
-  Status StartLocked(const std::set<SmoId>& m, std::string label);
+  Status StartLocked(const std::set<SmoId>& m, std::string label,
+                     bool online);
 
   /// Rejects when active; joins the previous worker otherwise. Caller must
   /// hold start_mu_.
@@ -214,11 +221,19 @@ class MigrationCoordinator : public WriteObserver {
   Status CatchUpPhase();
   Status FlipPhase();
 
+  /// The exclusive window both modes end in: brings every entry up to date
+  /// (final drain of the delta logs; wholesale re-derivation of stale
+  /// refresh-path entries, which is every entry of a blocking job), then
+  /// commits. `start` is when the window began, for flip_ns.
+  Status FlipLocked(std::chrono::steady_clock::time_point start);
+
   /// The commit: drop stale tables, install staged content, flip the
   /// materialization bits, bump the epoch (last, so every failure path
   /// leaves the epoch — and with it the plan cache — exactly untouched)
   /// and prewarm the plan cache for the new epoch. Requires the exclusive
-  /// catalog lock. All-or-nothing via a storage snapshot.
+  /// catalog lock. All-or-nothing by check-then-apply: it first checks that
+  /// every table it drops exists and every name it installs is free, then
+  /// applies moves that cannot fail.
   Status CommitLocked(Job* job);
 
   /// Derives `keys` of `e->tv` through the normal latched point-read path.
@@ -240,7 +255,11 @@ class MigrationCoordinator : public WriteObserver {
   Status RefreshEntry(StagedEntry* e, bool exclusive_held, int64_t* work);
 
   Status AbortedStatus() const;
-  void Finish(Status status);
+
+  /// Tears the job down and publishes the terminal phase and status.
+  /// Requires the exclusive catalog lock, which waits out every in-flight
+  /// capture before the staged state is destroyed.
+  void FinishLocked(Status status);
 
   Inverda* owner_;
   obs::Observability* obs_;
@@ -285,10 +304,10 @@ class MigrationCoordinator : public WriteObserver {
   int64_t last_id_ = 0;
 
   /// Serializes admission: held across Reap, StartLocked and the worker_
-  /// spawn, so two concurrent Start/StartSchema calls can never both pass
-  /// the active() check (the loser would overwrite job_ under the winner's
-  /// live worker and assign to a still-joinable worker_). Acquired before
-  /// catalog_mu_; never taken by the worker thread.
+  /// spawn (or the whole inline run), so two concurrent Start calls can
+  /// never both pass the active() check (the loser would overwrite job_
+  /// under the winner's live worker and assign to a still-joinable
+  /// worker_). Acquired before catalog_mu_; never taken by the worker.
   std::mutex start_mu_;
   std::thread worker_;
   TestHooks hooks_;

@@ -21,11 +21,14 @@ bool Database::HasTable(const std::string& name) const {
 }
 
 Status Database::CreateTable(TableSchema schema) {
-  const std::string name = schema.name();
-  auto [it, inserted] =
-      tables_.emplace(name, Table(std::move(schema), shards_));
-  (void)it;
-  if (!inserted) return Status::AlreadyExists("table " + name);
+  return AddTable(Table(std::move(schema), shards_));
+}
+
+Status Database::AddTable(Table table) {
+  const std::string name = table.schema().name();
+  if (tables_.count(name) > 0) return Status::AlreadyExists("table " + name);
+  table.Reshard(shards_);
+  tables_.emplace(name, std::move(table));
   return Status::OK();
 }
 
@@ -82,21 +85,6 @@ int64_t Database::TotalRows() const {
     total += table.size();
   }
   return total;
-}
-
-Database::SnapshotState Database::Snapshot() const {
-  return SnapshotState{tables_, sequence_.Peek()};
-}
-
-void Database::Restore(SnapshotState snapshot) {
-  tables_ = std::move(snapshot.tables);
-  // Snapshots may predate a reshard; re-bucket so every resident table
-  // matches the shard count the latch registry advertises.
-  for (auto& [name, table] : tables_) {
-    (void)name;
-    table.Reshard(shards_);
-  }
-  sequence_ = Sequence(snapshot.sequence_next);
 }
 
 std::string Database::ToString() const {

@@ -27,8 +27,7 @@ class Database {
   /// latches (docs/storage.md).
   explicit Database(int shards = 0);
 
-  // Physical storage holds unique state; moving is fine, copying is
-  // reserved for explicit snapshots (see Snapshot/Restore).
+  // Physical storage holds unique state; moving is fine, copying is not.
   Database(const Database&) = delete;
   Database& operator=(const Database&) = delete;
   Database(Database&&) = default;
@@ -57,6 +56,10 @@ class Database {
   /// Creates an empty physical table. Fails with AlreadyExists.
   Status CreateTable(TableSchema schema);
 
+  /// Installs a prebuilt table under its schema name, re-bucketed to the
+  /// active shard count. Fails with AlreadyExists.
+  Status AddTable(Table table);
+
   /// Drops a physical table. Fails with NotFound.
   Status DropTable(const std::string& name);
 
@@ -75,15 +78,6 @@ class Database {
   std::vector<std::string> TableNames() const;
 
   int64_t TotalRows() const;
-
-  /// A deep copy of the full physical state (tables + sequence position).
-  /// Used by the migration operation to provide all-or-nothing semantics.
-  struct SnapshotState {
-    std::map<std::string, Table> tables;
-    int64_t sequence_next = 1;
-  };
-  SnapshotState Snapshot() const;
-  void Restore(SnapshotState snapshot);
 
   /// Multi-line dump of every table (debugging).
   std::string ToString() const;

@@ -25,17 +25,17 @@ namespace inverda {
 /// still globally unique but may leave gaps (an invalidated chunk's
 /// remainder is discarded) and are only per-stripe monotonic. A
 /// single-threaded client draws densely from one stripe, so striping does
-/// not perturb deterministic single-threaded runs until a Snapshot/Restore
-/// or BumpPast intervenes. Striping is off by default — the dense global
+/// not perturb deterministic single-threaded runs until a BumpPast
+/// intervenes. Striping is off by default — the dense global
 /// counter, bit for bit the pre-sharding behavior.
 class Sequence {
  public:
   explicit Sequence(int64_t start = 1) : next_(start) {}
 
-  // Value semantics over the atomic counter (snapshots copy sequences).
+  // Value semantics over the atomic counter (Database moves copy it).
   // Copies start unstriped at the source's high-water mark; assignment
   // keeps the destination's striping configuration and invalidates its
-  // reserved chunks, so a Restore never re-hands ids below the mark.
+  // reserved chunks, so it never re-hands ids below the mark.
   Sequence(const Sequence& other) : next_(other.Peek()) {}
   Sequence& operator=(const Sequence& other) {
     next_.store(other.Peek(), std::memory_order_relaxed);
@@ -64,8 +64,8 @@ class Sequence {
   /// The global high-water mark: every id handed out so far is below it,
   /// and (unstriped) it is exactly the id the next call to Next() returns.
   /// With striping it may overestimate by up to stripes * chunk reserved
-  /// but undrawn ids — safe for Snapshot/Restore, which only needs a
-  /// floor no later draw dips under.
+  /// but undrawn ids — safe for callers that only need a floor no later
+  /// draw dips under.
   int64_t Peek() const { return next_.load(std::memory_order_relaxed); }
 
   /// Ensures the sequence never hands out ids <= `floor` again. With

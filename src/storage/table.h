@@ -149,9 +149,6 @@ class Table {
   /// All keys, ascending.
   std::vector<int64_t> Keys() const;
 
-  /// Deep copy (used by migration snapshots).
-  Table Clone() const { return *this; }
-
   /// Set equality: same schema column names/types and same keyed rows.
   /// Shard-count agnostic — a table compares equal to a differently
   /// sharded copy of the same content.

@@ -13,7 +13,6 @@
 #include "handwritten/reference_sql.h"
 #include "inverda/inverda.h"
 #include "test_seed.h"
-#include "workload/advisor.h"
 
 namespace inverda {
 namespace {
@@ -294,39 +293,6 @@ TEST_P(AdvisorGenealogyTest, FullWorkloadRecommendsVersionMaterialization) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdvisorGenealogyTest,
                          ::testing::Values(1, 2, 3, 5, 8));
-
-// --- legacy shim ------------------------------------------------------------
-
-// The deprecated free function delegates to the subsystem; same winner,
-// all candidates reported, and the new validation applies to it too.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST_F(AdvisorTest, LegacyShimMatchesNewAdvisor) {
-  const std::map<std::string, double> weights = {{"TasKy", 0.2},
-                                                 {"TasKy2", 0.8}};
-  Result<AdvisorRecommendation> legacy =
-      RecommendMaterialization(db_.catalog(), weights);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->candidate_costs.size(), 5u);
-
-  Result<AdviseReport> report = db_.Advise(WeightsOnly(weights));
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(legacy->materialization, report->best().materialization);
-  EXPECT_DOUBLE_EQ(legacy->expected_cost,
-                   legacy->candidate_costs.at(report->best().label));
-}
-
-TEST_F(AdvisorTest, LegacyShimValidatesWeights) {
-  EXPECT_FALSE(RecommendMaterialization(db_.catalog(), {}).ok());
-  EXPECT_FALSE(
-      RecommendMaterialization(db_.catalog(), {{"TasKy", -1.0}}).ok());
-  EXPECT_FALSE(RecommendMaterialization(db_.catalog(), {{"TasKy", 0.0}}).ok());
-}
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace inverda

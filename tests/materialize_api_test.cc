@@ -1,6 +1,6 @@
-// The unified Materialize(MaterializeRequest) entry point and the four
-// deprecated compatibility shims it replaced. One call shape covers all
-// four old surfaces: targets-vs-schema × blocking-vs-online(-nowait).
+// The Materialize(MaterializeRequest) entry point: one call shape covers
+// targets-vs-schema × blocking-vs-online(-nowait), all run by the one
+// migration engine.
 
 #include <gtest/gtest.h>
 
@@ -44,7 +44,10 @@ TEST_F(MaterializeApiTest, TargetsBlocking) {
   ASSERT_TRUE(db_.Materialize(MaterializeRequest::Targets({"TasKy2"})).ok());
   EXPECT_TRUE(Physical("TasKy2", "Task"));
   EXPECT_TRUE(Physical("TasKy2", "Author"));
+  // The blocking run is recorded like an online one.
   EXPECT_FALSE(db_.MigrationState().active);
+  EXPECT_EQ(db_.MigrationState().phase, migrate::Phase::kDone);
+  EXPECT_EQ(db_.MigrationState().label, "TasKy2");
   EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
 }
 
@@ -98,57 +101,6 @@ TEST_F(MaterializeApiTest, RejectsEmptyRequest) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
-
-// --- deprecated shims -------------------------------------------------------
-// Each shim must keep compiling (with a note, not an error) and behave
-// exactly like the unified request it forwards to.
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST_F(MaterializeApiTest, DeprecatedMaterializeTargets) {
-  ASSERT_TRUE(db_.Materialize(std::vector<std::string>{"TasKy2"}).ok());
-  EXPECT_TRUE(Physical("TasKy2", "Task"));
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
-}
-
-TEST_F(MaterializeApiTest, DeprecatedMaterializeSchema) {
-  Result<std::vector<std::set<SmoId>>> schemas =
-      db_.catalog().EnumerateValidMaterializations(/*limit=*/16);
-  ASSERT_TRUE(schemas.ok());
-  const std::set<SmoId> current = db_.catalog().CurrentMaterialization();
-  for (const std::set<SmoId>& m : *schemas) {
-    if (m == current) continue;
-    ASSERT_TRUE(db_.MaterializeSchema(m).ok());
-    EXPECT_EQ(db_.catalog().CurrentMaterialization(), m);
-    break;
-  }
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
-}
-
-TEST_F(MaterializeApiTest, DeprecatedMaterializeOnline) {
-  ASSERT_TRUE(db_.MaterializeOnline({"TasKy2"}).ok());
-  ASSERT_TRUE(db_.WaitForMigration().ok());
-  EXPECT_TRUE(Physical("TasKy2", "Task"));
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
-}
-
-TEST_F(MaterializeApiTest, DeprecatedMaterializeSchemaOnline) {
-  Result<std::vector<std::set<SmoId>>> schemas =
-      db_.catalog().EnumerateValidMaterializations(/*limit=*/16);
-  ASSERT_TRUE(schemas.ok());
-  const std::set<SmoId> current = db_.catalog().CurrentMaterialization();
-  for (const std::set<SmoId>& m : *schemas) {
-    if (m == current) continue;
-    ASSERT_TRUE(db_.MaterializeSchemaOnline(m).ok());
-    ASSERT_TRUE(db_.WaitForMigration().ok());
-    EXPECT_EQ(db_.catalog().CurrentMaterialization(), m);
-    break;
-  }
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace inverda

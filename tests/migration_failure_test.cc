@@ -16,8 +16,9 @@ namespace {
 
 // Failure injection for the migration operation: the Database Migration
 // Operation promises all-or-nothing semantics ("maintaining transaction
-// guarantees"). We inject failures by occupying physical table names the
-// migration needs and verify the full rollback.
+// guarantees"). We inject failures — occupied physical table names, faults
+// at every phase boundary and inside the flip — and verify the full
+// rollback against a fingerprint of the whole engine.
 class MigrationFailureTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -32,36 +33,67 @@ class MigrationFailureTest : public ::testing::Test {
     }
   }
 
+  // Everything a failed migration must leave alone: the plan-cache epoch,
+  // the materialization, the physical tables and every version's view. (Id
+  // assignments made while *reading* during staging may persist — they are
+  // repeatable-read bookkeeping, not data, and leave the views unchanged.)
+  struct StateFingerprint {
+    uint64_t epoch;
+    std::set<SmoId> materialization;
+    size_t physical_tables;
+    std::map<std::string, std::vector<KeyedRow>> views;
+  };
+
+  StateFingerprint Fingerprint() {
+    StateFingerprint fp;
+    fp.epoch = db_.catalog().materialization_epoch();
+    fp.materialization = db_.catalog().CurrentMaterialization();
+    fp.physical_tables = db_.db().TableNames().size();
+    fp.views = testutil::Snapshot(&db_);
+    return fp;
+  }
+
+  void ExpectUnchanged(const StateFingerprint& before,
+                       const std::string& context) {
+    EXPECT_EQ(db_.catalog().materialization_epoch(), before.epoch) << context;
+    EXPECT_EQ(db_.catalog().CurrentMaterialization(), before.materialization)
+        << context;
+    EXPECT_EQ(db_.db().TableNames().size(), before.physical_tables) << context;
+    std::string diff = testutil::DiffSnapshots(before.views,
+                                               testutil::Snapshot(&db_));
+    EXPECT_TRUE(diff.empty()) << context << ": " << diff;
+  }
+
   Inverda db_;
   std::vector<int64_t> keys_;
 };
 
 TEST_F(MigrationFailureTest, CollidingStagingTableRollsBack) {
-  // Occupy the physical name the migration will want for TasKy2's Task.
-  TvId task2 = *db_.catalog().ResolveTable("TasKy2", "Task");
-  std::string doomed_name = db_.catalog().DataTableName(task2);
-  ASSERT_TRUE(db_.db().CreateTable(TableSchema(doomed_name, {})).ok());
-
-  std::set<SmoId> old_m = db_.catalog().CurrentMaterialization();
-  size_t tables_before = db_.db().TableNames().size();
-
-  Status s = db_.Materialize(MaterializeRequest::Targets({"TasKy2"}));
-  EXPECT_FALSE(s.ok());
-
-  // Everything rolled back: states, physical tables, views. (Id
-  // assignments made while *reading* during staging may persist — they are
-  // repeatable-read bookkeeping, not data.)
-  EXPECT_EQ(db_.catalog().CurrentMaterialization(), old_m);
-  EXPECT_EQ(db_.db().TableNames().size(), tables_before);
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 10u);
-  EXPECT_EQ(db_.Select("TasKy2", "Task")->size(), 10u);
-  TvId task0 = *db_.catalog().ResolveTable("TasKy", "Task");
-  EXPECT_TRUE(db_.catalog().IsPhysical(task0));
-
+  // Occupy the physical name of the first staged table (TasKy2's Task) or
+  // of the last (its Author), in both modes: the commit must refuse before
+  // it installs anything, leaving the obstruction and the old world intact.
+  for (const char* table : {"Task", "Author"}) {
+    for (bool online : {false, true}) {
+      std::string context = std::string(table) + (online ? " online"
+                                                         : " blocking");
+      std::string doomed_name = db_.catalog().DataTableName(
+          *db_.catalog().ResolveTable("TasKy2", table));
+      ASSERT_TRUE(db_.db().CreateTable(TableSchema(doomed_name, {})).ok());
+      StateFingerprint before = Fingerprint();
+      EXPECT_FALSE(
+          db_.Materialize(MaterializeRequest::Targets({"TasKy2"}, online))
+              .ok())
+          << context;
+      EXPECT_EQ(db_.MigrationState().phase, migrate::Phase::kFailed)
+          << context;
+      ExpectUnchanged(before, context);
+      ASSERT_TRUE(db_.db().DropTable(doomed_name).ok());
+    }
+  }
   // After removing the obstruction the migration succeeds.
-  ASSERT_TRUE(db_.db().DropTable(doomed_name).ok());
   EXPECT_TRUE(db_.Materialize(MaterializeRequest::Targets({"TasKy2"})).ok());
   EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 10u);
+  EXPECT_EQ(db_.Select("TasKy2", "Task")->size(), 10u);
 }
 
 TEST_F(MigrationFailureTest, InvalidTargetsFailCleanly) {
@@ -113,39 +145,11 @@ TEST_F(MigrationFailureTest, RepeatedFailureThenSuccessKeepsStateClean) {
 
 // --- online (background) migration fault injection --------------------------
 //
-// MaterializeOnline runs copy/catch-up on a worker thread and commits in a
-// brief exclusive flip. Faults injected at every phase boundary (coordinator
-// TestHooks) must unwind to exactly the pre-migration state: materialization,
-// plan-cache epoch, physical tables, and every version's view.
+// An online Materialize runs copy/catch-up on a worker thread and commits in
+// a brief exclusive flip. Faults injected at every phase boundary
+// (coordinator TestHooks) must unwind to exactly the pre-migration state.
 
-class OnlineMigrationFailureTest : public MigrationFailureTest {
- protected:
-  struct StateFingerprint {
-    uint64_t epoch;
-    std::set<SmoId> materialization;
-    size_t physical_tables;
-    std::map<std::string, std::vector<KeyedRow>> views;
-  };
-
-  StateFingerprint Fingerprint() {
-    StateFingerprint fp;
-    fp.epoch = db_.catalog().materialization_epoch();
-    fp.materialization = db_.catalog().CurrentMaterialization();
-    fp.physical_tables = db_.db().TableNames().size();
-    fp.views = testutil::Snapshot(&db_);
-    return fp;
-  }
-
-  void ExpectUnchanged(const StateFingerprint& before, const char* context) {
-    EXPECT_EQ(db_.catalog().materialization_epoch(), before.epoch) << context;
-    EXPECT_EQ(db_.catalog().CurrentMaterialization(), before.materialization)
-        << context;
-    EXPECT_EQ(db_.db().TableNames().size(), before.physical_tables) << context;
-    std::string diff = testutil::DiffSnapshots(before.views,
-                                               testutil::Snapshot(&db_));
-    EXPECT_TRUE(diff.empty()) << context << ": " << diff;
-  }
-};
+class OnlineMigrationFailureTest : public MigrationFailureTest {};
 
 TEST_F(OnlineMigrationFailureTest, FaultAtEachPhaseRollsBack) {
   const migrate::Phase boundaries[] = {
@@ -177,42 +181,24 @@ TEST_F(OnlineMigrationFailureTest, FaultAtEachPhaseRollsBack) {
   EXPECT_EQ(db_.Select("TasKy2", "Task")->size(), 10u);
 }
 
-TEST_F(OnlineMigrationFailureTest, FaultInsideFlipCommitRollsBack) {
+TEST_F(MigrationFailureTest, FaultInsideFlipCommitRollsBack) {
   // before_flip_commit fires inside the exclusive flip section, after the
-  // final drain — the worst possible moment to fail.
-  StateFingerprint before = Fingerprint();
-  migrate::TestHooks hooks;
-  hooks.before_flip_commit = [] {
-    return Status::Internal("injected fault inside flip");
-  };
-  db_.set_migration_test_hooks(hooks);
-  ASSERT_TRUE(db_.Materialize(MaterializeRequest::Targets({"TasKy2"}, /*online=*/true, /*wait=*/false)).ok());
-  EXPECT_FALSE(db_.WaitForMigration().ok());
-  EXPECT_EQ(db_.MigrationState().phase, migrate::Phase::kFailed);
-  ExpectUnchanged(before, "before_flip_commit");
-  db_.set_migration_test_hooks({});
-  ASSERT_TRUE(db_.Materialize(MaterializeRequest::Targets({"TasKy2"}, /*online=*/true, /*wait=*/false)).ok());
-  EXPECT_TRUE(db_.WaitForMigration().ok());
-}
-
-TEST_F(OnlineMigrationFailureTest, CollidingStagingTableRollsBackOnline) {
-  // The same obstruction as the stop-the-world test, hit by the background
-  // path: the commit fails mid-flip and Restore must bring the obstruction
-  // and the old materialization back bit-for-bit.
-  TvId task2 = *db_.catalog().ResolveTable("TasKy2", "Task");
-  std::string doomed_name = db_.catalog().DataTableName(task2);
-  ASSERT_TRUE(db_.db().CreateTable(TableSchema(doomed_name, {})).ok());
-  StateFingerprint before = Fingerprint();
-
-  ASSERT_TRUE(db_.Materialize(MaterializeRequest::Targets({"TasKy2"}, /*online=*/true, /*wait=*/false)).ok());
-  EXPECT_FALSE(db_.WaitForMigration().ok());
-  EXPECT_EQ(db_.MigrationState().phase, migrate::Phase::kFailed);
-  ExpectUnchanged(before, "staging collision");
-
-  ASSERT_TRUE(db_.db().DropTable(doomed_name).ok());
+  // final derivation — the worst possible moment to fail — in both modes.
+  for (bool online : {false, true}) {
+    StateFingerprint before = Fingerprint();
+    migrate::TestHooks hooks;
+    hooks.before_flip_commit = [] {
+      return Status::Internal("injected fault inside flip");
+    };
+    db_.set_migration_test_hooks(hooks);
+    EXPECT_FALSE(
+        db_.Materialize(MaterializeRequest::Targets({"TasKy2"}, online)).ok());
+    EXPECT_EQ(db_.MigrationState().phase, migrate::Phase::kFailed);
+    ExpectUnchanged(before, online ? "online" : "blocking");
+    db_.set_migration_test_hooks({});
+  }
   ASSERT_TRUE(db_.Materialize(MaterializeRequest::Targets({"TasKy2"}, /*online=*/true, /*wait=*/false)).ok());
   EXPECT_TRUE(db_.WaitForMigration().ok());
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 10u);
 }
 
 TEST_F(OnlineMigrationFailureTest, InvalidTargetsFailSynchronously) {
@@ -253,7 +239,7 @@ TEST_F(OnlineMigrationFailureTest, DdlIsRejectedWhileMigrationInFlight) {
     EXPECT_EQ(s.code(), StatusCode::kInvalidState) << what;
   };
   expect_rejected(db_.Materialize(MaterializeRequest::Targets({"Do!"})), "Materialize");
-  expect_rejected(db_.Materialize(MaterializeRequest::Targets({"Do!"}, /*online=*/true, /*wait=*/false)), "second MaterializeOnline");
+  expect_rejected(db_.Materialize(MaterializeRequest::Targets({"Do!"}, /*online=*/true, /*wait=*/false)), "second online Materialize");
   expect_rejected(db_.Execute("CREATE SCHEMA VERSION Late FROM TasKy WITH "
                               "ADD COLUMN late INT AS 0 INTO Task;"),
                   "CREATE SCHEMA VERSION");
@@ -279,7 +265,7 @@ TEST_F(OnlineMigrationFailureTest, DdlIsRejectedWhileMigrationInFlight) {
 
 TEST_F(OnlineMigrationFailureTest, ConcurrentStartsAdmitExactlyOne) {
   // Admission is serialized by the coordinator's start mutex: when many
-  // threads race MaterializeOnline, exactly one is admitted and every other
+  // threads race an online Materialize, exactly one is admitted and every other
   // gets InvalidState — never a second job overwriting the first's staged
   // state or a re-assignment of the live worker thread.
   std::mutex mu;

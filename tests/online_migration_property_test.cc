@@ -1,7 +1,6 @@
-// Lockstep equivalence: an online migration (MaterializeOnline — chunked
-// copy under shared locks + delta-log capture + brief exclusive flip) must
-// be observationally identical to the stop-the-world Materialize it
-// replaces. Twin instances get the same random genealogy and the same
+// Lockstep equivalence: an online migration (chunked copy under shared
+// locks + delta-log capture + brief exclusive flip) must be observationally
+// identical to the same job run blocking, inline. Twin instances get the same random genealogy and the same
 // interleaved DML stream; instance A migrates online *while* the DML is
 // applied (a phase gate guarantees the overlap), instance B migrates
 // stop-the-world afterwards — every version's final view must agree.

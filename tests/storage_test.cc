@@ -68,25 +68,6 @@ TEST(DatabaseTest, CreateDropRename) {
   EXPECT_FALSE(db.DropTable("u").ok());
 }
 
-TEST(DatabaseTest, SnapshotRestore) {
-  Database db;
-  ASSERT_TRUE(db.CreateTable(TwoCol()).ok());
-  Table* t = *db.GetTable("t");
-  ASSERT_TRUE(t->Insert(db.sequence().Next(),
-                        {Value::Int(1), Value::String("a")}).ok());
-  Database::SnapshotState snap = db.Snapshot();
-  int64_t seq_before = db.sequence().Peek();
-
-  ASSERT_TRUE(t->Insert(db.sequence().Next(),
-                        {Value::Int(2), Value::String("b")}).ok());
-  ASSERT_TRUE(db.CreateTable(TableSchema("extra", {})).ok());
-
-  db.Restore(std::move(snap));
-  EXPECT_FALSE(db.HasTable("extra"));
-  EXPECT_EQ((*db.GetTable("t"))->size(), 1);
-  EXPECT_EQ(db.sequence().Peek(), seq_before);
-}
-
 TEST(TableTest, ShardRoutingPartitionsEveryRow) {
   Table t(TwoCol(), 4);
   EXPECT_EQ(t.shard_count(), 4);
@@ -164,15 +145,6 @@ TEST(DatabaseTest, ReshardAppliesToEveryTableAndNewOnes) {
   ASSERT_TRUE(db.CreateTable(TableSchema(
       "u", {{"a", DataType::kInt64}})).ok());
   EXPECT_EQ((*db.GetTable("u"))->shard_count(), 2);
-}
-
-TEST(DatabaseTest, RestoreReshardsSnapshotTables) {
-  Database db(1);
-  ASSERT_TRUE(db.CreateTable(TwoCol()).ok());
-  Database::SnapshotState snap = db.Snapshot();
-  db.Reshard(8);
-  db.Restore(std::move(snap));
-  EXPECT_EQ((*db.GetTable("t"))->shard_count(), 8);
 }
 
 TEST(SequenceTest, MonotonicAndBumpable) {

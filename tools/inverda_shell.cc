@@ -228,7 +228,7 @@ class Shell {
         "  MIGRATIONS [START <v>[.<table>] ...|WAIT|ABORT];\n"
         "                 -- online MATERIALIZE: background copy + brief\n"
         "                 --   flip (docs/migration.md); no argument shows\n"
-        "                 --   the coordinator status\n"
+        "                 --   the last migration, blocking or online\n"
         "  ADVISE [APPLY|JSON|AUTO [ON|OFF]];\n"
         "                 -- traffic-driven materialization advisor: rank\n"
         "                 --   every valid candidate against the observed\n"
