@@ -36,8 +36,7 @@ import sys
 # (throughput/speedups: regression = decrease), per benchmark extractor.
 
 GATED_BENCHES = ["microbench_plan", "microbench_concurrency", "fig8_overhead",
-                 "microbench_shards", "microbench_online_migration",
-                 "ablation_advisor"]
+                 "microbench_online_migration", "ablation_advisor"]
 
 
 def extract_microbench_plan(doc):
@@ -78,25 +77,6 @@ def extract_fig8_overhead(doc):
     return metrics, checks
 
 
-def extract_microbench_shards(doc):
-    metrics = {}
-    for row in doc.get("shards", []):
-        s = row["shards"]
-        for field in ("scan_rows_per_sec", "derived_rows_per_sec",
-                      "point_ops_per_sec", "propagate_rows_per_sec"):
-            if field in row:
-                metrics[f"shards{s}.{field}"] = ("higher", row[field])
-    checks = {
-        "results_identical": doc.get("results_identical"),
-        "parallel_paths_engaged": doc.get("parallel_paths_engaged"),
-    }
-    # The speedup verdict is hardware-gated: null (not enough cores) never
-    # fails the gate, mirroring microbench_concurrency's scaling verdict.
-    if doc.get("scan_speedup_gt1_3") is not None:
-        checks["scan_speedup_gt1_3"] = doc.get("scan_speedup_gt1_3")
-    return metrics, checks
-
-
 def extract_microbench_online_migration(doc):
     metrics = {}
     online = doc.get("online", {})
@@ -104,7 +84,7 @@ def extract_microbench_online_migration(doc):
         if field in online:
             metrics[f"online.{field}"] = ("higher", online[field])
     # The latency verdicts are scale-gated: null (quick mode) never fails
-    # the gate, mirroring microbench_shards' speedup verdict.
+    # the gate.
     checks = {}
     for name in ("online_read_p99_lt_stw_stall", "flip_window_bounded"):
         if doc.get(name) is not None:
@@ -126,7 +106,6 @@ EXTRACTORS = {
     "microbench_plan": extract_microbench_plan,
     "microbench_concurrency": extract_microbench_concurrency,
     "fig8_overhead": extract_fig8_overhead,
-    "microbench_shards": extract_microbench_shards,
     "microbench_online_migration": extract_microbench_online_migration,
     "ablation_advisor": extract_ablation_advisor,
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "inverda/inverda.h"
-#include "util/thread_pool.h"
 
 namespace inverda {
 
@@ -46,11 +45,6 @@ void FillStepSpan(obs::TraceSpan* span, const plan::PlanStep& step) {
   }
 }
 
-// Write sets below this size apply sequentially even on a sharded table:
-// the fan-out costs a pool wake-up, which a handful of hash-map writes
-// never amortizes.
-constexpr size_t kParallelApplyMinOps = 128;
-
 Status ApplyOpToTable(Table* table, const WriteOp& op) {
   switch (op.kind) {
     case WriteOp::Kind::kInsert:
@@ -80,9 +74,6 @@ AccessLayer::AccessLayer(VersionCatalog* catalog, Database* db,
   latch_fine_ = m.counter("latch.fine_grained");
   latch_escalations_ = m.counter("latch.escalations");
   latch_global_ = m.counter("latch.global");
-  latch_key_scoped_ = m.counter("latch.key_scoped");
-  parallel_scans_ = m.counter("storage.parallel_scans");
-  parallel_applies_ = m.counter("storage.parallel_applies");
   // Pull sources: the plan/view caches already keep their own counters —
   // exporting them through callbacks keeps one source of truth, so the
   // registry can never drift from the components' own view.
@@ -121,13 +112,6 @@ AccessLayer::AccessLayer(VersionCatalog* catalog, Database* db,
   m.RegisterSource("plan_verify", [this] {
     return std::vector<obs::MetricValue>{
         {"plan_verify.fusion_rejected", compiler_.fusion_rejections()}};
-  });
-  // Storage-shape source: the active shard count and the scan pool's
-  // worker count, so METRICS shows the sharding configuration in effect.
-  m.RegisterSource("storage", [this] {
-    return std::vector<obs::MetricValue>{
-        {"storage.shards", db_->shards()},
-        {"storage.scan_threads", ScanPool().threads()}};
   });
   // Per-version access totals feed the advisor's workload profiler; a reset
   // via the registry opens a fresh observation window.
@@ -260,36 +244,12 @@ void AccessLayer::AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
   // and the sibling derivations of a write's propagation chain.
   latches->Acquire(&db_->latches(), p.footprint, exclusive);
   if (timed) [[unlikely]] {
-    // Accounted after the fact: with shards, escalation can also trigger
-    // on the total latch budget, which only Acquire itself knows.
     if (latches->escalated()) {
       latch_escalations_->Add(1);
     } else {
       latch_fine_->Add(1);
     }
   }
-}
-
-bool AccessLayer::KeyScopedEligible(const plan::TvPlan& p) const {
-  // Physical single-table plans only: the footprint must be exactly the
-  // data table, otherwise shard-scoping would leave other tables unlatched.
-  return access_depth_ == 0 && p.full && p.physical &&
-         p.footprint.size() == 1 && p.footprint.front() == p.data_table &&
-         db_->latches().shards() > 1;
-}
-
-void AccessLayer::AcquireLatchesForKeys(TableLatchSet* latches,
-                                        const plan::TvPlan& p,
-                                        const std::vector<int64_t>& keys,
-                                        bool write, bool timed) {
-  if (!KeyScopedEligible(p)) {
-    AcquireLatches(latches, p, write, timed);
-    return;
-  }
-  obs::ScopedTimer timer(timed ? latch_ns_ : nullptr);
-  latches->AcquireKeyScoped(&db_->latches(), p.data_table, keys,
-                            write || p.derive_mutates);
-  if (timed) [[unlikely]] latch_key_scoped_->Add(1);
 }
 
 // --- derived-view cache -----------------------------------------------------
@@ -418,10 +378,6 @@ void AccessLayer::InvalidateForMigration(const std::set<SmoId>& flipped) {
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (cache_.empty()) return;
   }
-  if (cache_mode_ == CacheMode::kClearAll) {
-    InvalidateCache();
-    return;
-  }
   std::set<TvId> affected = catalog_->AffectedBySmos(flipped);
   std::lock_guard<std::mutex> lock(cache_mu_);
   std::vector<TvId> doomed;
@@ -460,9 +416,6 @@ Status AccessLayer::ScanVersion(TvId tv, const RowCallback& fn) {
     if (span) [[unlikely]] {
       span->route = "physical";
       span->note = "data table " + p.data_table;
-      if (table->shard_count() > 1) {
-        span->note += " [" + std::to_string(table->shard_count()) + " shards]";
-      }
       span->rows_out = table->size();
     }
     table->Scan(fn);
@@ -551,18 +504,9 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
   if (p.physical) {
     INVERDA_ASSIGN_OR_RETURN(const Table* table,
                              db_->GetTableConst(p.data_table));
-    const bool parallel = ParallelScanEligible(*table) && !out->has_selection();
-    if (parallel) parallel_scans_->Add(1);
     if (span) [[unlikely]] {
       span->route = "physical";
       span->note = "data table " + p.data_table;
-      if (table->shard_count() > 1) {
-        span->note += parallel
-                          ? " [" + std::to_string(table->shard_count()) +
-                                " shards, parallel]"
-                          : " [" + std::to_string(table->shard_count()) +
-                                " shards]";
-      }
       span->rows_out = table->size();
     }
     return BatchFromTable(*table, out);
@@ -604,15 +548,7 @@ Result<std::optional<Row>> AccessLayer::FindVersion(TvId tv, int64_t key) {
   const plan::TvPlan& p = *handle.get();
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
-  if (KeyScopedEligible(p)) [[unlikely]] {
-    // Point lookup on a sharded physical table: latch only the shard the
-    // key routes to, so lookups and key-scoped writes on other shards of
-    // the same table proceed in parallel.
-    AcquireLatchesForKeys(&latches, p, std::vector<int64_t>{key},
-                          /*write=*/false, timed);
-  } else {
-    AcquireLatches(&latches, p, /*write=*/false, timed);
-  }
+  AcquireLatches(&latches, p, /*write=*/false, timed);
   DepthGuard guard(&access_depth_);
   if (p.physical) {
     INVERDA_ASSIGN_OR_RETURN(const Table* table,
@@ -620,11 +556,6 @@ Result<std::optional<Row>> AccessLayer::FindVersion(TvId tv, int64_t key) {
     if (span) [[unlikely]] {
       span->route = "physical";
       span->note = "data table " + p.data_table;
-      if (table->shard_count() > 1) {
-        span->note +=
-            " [shard " + std::to_string(table->ShardOfKey(key)) + "/" +
-            std::to_string(table->shard_count()) + "]";
-      }
     }
     const Row* row = table->Find(key);
     if (row == nullptr) return std::optional<Row>();
@@ -720,32 +651,13 @@ Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
   const plan::TvPlan& p = *handle.get();
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
-  if (KeyScopedEligible(p)) [[unlikely]] {
-    // Direct write to a sharded physical table: latch only the shards the
-    // write set routes to (exclusive), so batches landing on different
-    // shards of the same table run in parallel.
-    std::vector<int64_t> keys;
-    keys.reserve(writes.ops.size());
-    for (const WriteOp& op : writes.ops) keys.push_back(op.key);
-    AcquireLatchesForKeys(&latches, p, keys, /*write=*/true, timed);
-  } else {
-    AcquireLatches(&latches, p, /*write=*/true, timed);
-  }
+  AcquireLatches(&latches, p, /*write=*/true, timed);
   DepthGuard guard(&access_depth_);
   if (top_level) {
     last_trace_.Clear();
     // Invalidate before the write lands: entries (re)stored by reads that
     // happen mid-propagation capture the post-write epochs and stay valid.
-    if (cache_enabled_) {
-      switch (cache_mode_) {
-        case CacheMode::kClearAll:
-          InvalidateCache();
-          break;
-        case CacheMode::kGenealogy:
-          INVERDA_RETURN_IF_ERROR(InvalidateForWrite(p));
-          break;
-      }
-    }
+    if (cache_enabled_) INVERDA_RETURN_IF_ERROR(InvalidateForWrite(p));
   }
   last_trace_.AddVersion(tv);
   if (p.physical) {
@@ -754,58 +666,7 @@ Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
     if (span) [[unlikely]] {
       span->route = "physical";
       span->note = "data table " + p.data_table;
-      if (table->shard_count() > 1) {
-        span->note +=
-            " [" + std::to_string(table->shard_count()) + " shards]";
-      }
       span->rows_out = static_cast<int64_t>(writes.ops.size());
-    }
-    const int shards = table->shard_count();
-    if (shards > 1 && ScanPool().threads() > 0 &&
-        writes.ops.size() >= kParallelApplyMinOps) {
-      // Group op indices by destination shard. Each group applies in op
-      // order on its own shard map (disjoint by construction; size and
-      // epoch stamps are atomic), so groups run in parallel.
-      std::vector<std::vector<size_t>> by_shard(
-          static_cast<size_t>(shards));
-      for (size_t i = 0; i < writes.ops.size(); ++i) {
-        by_shard[static_cast<size_t>(table->ShardOfKey(writes.ops[i].key))]
-            .push_back(i);
-      }
-      int busy = 0;
-      for (const auto& group : by_shard) busy += group.empty() ? 0 : 1;
-      if (busy > 1) {
-        parallel_applies_->Add(1);
-        // Each worker records its shard's first failure; the op-order
-        // earliest one is reported, like the sequential loop would. (On
-        // failure other shards may have applied ops past the failing
-        // index — the sequential path stops instead; both leave a
-        // partially applied set, which the caller already treats as an
-        // operation failure.)
-        struct ShardFailure {
-          size_t op_index = SIZE_MAX;
-          Status status;
-        };
-        std::vector<ShardFailure> failures(static_cast<size_t>(shards));
-        ScanPool().ParallelFor(shards, [&](int64_t s) {
-          for (size_t i : by_shard[static_cast<size_t>(s)]) {
-            Status status = ApplyOpToTable(table, writes.ops[i]);
-            if (!status.ok()) {
-              failures[static_cast<size_t>(s)] = {i, std::move(status)};
-              return;
-            }
-          }
-        });
-        const ShardFailure* first = nullptr;
-        for (const ShardFailure& failure : failures) {
-          if (failure.op_index == SIZE_MAX) continue;
-          if (first == nullptr || failure.op_index < first->op_index) {
-            first = &failure;
-          }
-        }
-        if (first != nullptr) return first->status;
-        return Status::OK();
-      }
     }
     for (const WriteOp& op : writes.ops) {
       INVERDA_RETURN_IF_ERROR(ApplyOpToTable(table, op));

@@ -9,20 +9,10 @@
 
 namespace inverda {
 
-Inverda::Inverda(int shards)
-    : db_(shards),
-      access_(&catalog_, &db_, &obs_),
+Inverda::Inverda()
+    : access_(&catalog_, &db_, &obs_),
       advisor_(this, &obs_),
       migrate_(this, &obs_) {}
-
-Status Inverda::Reshard(int shards) {
-  // Exclusive like DDL: re-bucketing moves rows between shard maps, so no
-  // access may be in flight while the partition changes.
-  std::unique_lock<std::shared_mutex> ddl(catalog_mu_);
-  INVERDA_RETURN_IF_ERROR(CheckNoActiveMigration());
-  db_.Reshard(shards);
-  return Status::OK();
-}
 
 Status Inverda::CheckNoActiveMigration() const {
   if (migrate_.active()) {
@@ -310,11 +300,7 @@ Result<verify::VerifySummary> Inverda::VerifyPlans(
   // Shared: verification only compiles and reads; the exclusive DDL side
   // keeps the catalog shape stable for the duration.
   std::shared_lock<std::shared_mutex> dml(catalog_mu_);
-  verify::VerifyOptions opts = options;
-  // The lock-order analysis models the latch granularity the executor
-  // actually uses, so it needs the active shard count.
-  if (opts.shards <= 0) opts.shards = db_.shards();
-  return verify::VerifyGenealogy(catalog_, access_.compiler(), opts);
+  return verify::VerifyGenealogy(catalog_, access_.compiler(), options);
 }
 
 }  // namespace inverda

@@ -47,8 +47,9 @@ class Inverda;
 /// re-enters under the top-level latch set (a thread-local depth counter
 /// suppresses nested acquisition). Catalog-shape changes never race with
 /// operations: the Inverda facade serializes DDL against all data access.
-/// The configuration setters (set_plan_cache_enabled, set_cache_enabled,
-/// set_cache_mode) are not thread-safe; configure before going concurrent.
+/// The configuration setters (set_plan_cache_enabled, set_batch_enabled,
+/// set_fusion_enabled, set_verify_enabled, set_cache_enabled) are not
+/// thread-safe; configure before going concurrent.
 class AccessLayer : public AccessBackend {
  public:
   /// `obs` is the owning facade's observability bundle: the constructor
@@ -141,15 +142,7 @@ class AccessLayer : public AccessBackend {
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   bool cache_enabled() const { return cache_enabled_; }
 
-  /// How the cache reacts to writes and migrations. kClearAll reproduces
-  /// the original stub (drop every entry on any write or migration) and
-  /// exists for the ablation benchmark; kGenealogy is the default.
-  enum class CacheMode { kClearAll, kGenealogy };
-  void set_cache_mode(CacheMode mode) { cache_mode_ = mode; }
-  CacheMode cache_mode() const { return cache_mode_; }
-
-  /// Drops all cached derived views regardless of mode (schema drops and
-  /// explicit resets).
+  /// Drops all cached derived views (schema drops and explicit resets).
   void InvalidateCache();
 
   /// Genealogy-scoped invalidation after the materialization state of the
@@ -226,21 +219,6 @@ class AccessLayer : public AccessBackend {
   /// latch.
   void AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
                       bool write, bool timed);
-
-  /// Key-scoped variant for operations on a *physical* single-table plan:
-  /// with a sharded store, latches only the shards `keys` route to, so
-  /// writers hitting different shards of the same data table run in
-  /// parallel. Falls back to AcquireLatches whenever key-scoping does not
-  /// apply (virtual plan, shallow plan, unsharded registry, plans whose
-  /// footprint is wider than the data table).
-  void AcquireLatchesForKeys(TableLatchSet* latches, const plan::TvPlan& p,
-                             const std::vector<int64_t>& keys, bool write,
-                             bool timed);
-
-  /// True when AcquireLatchesForKeys would actually key-scope for plan `p`
-  /// (callers check this before materializing a key vector, so the
-  /// unsharded hot path never allocates).
-  bool KeyScopedEligible(const plan::TvPlan& p) const;
 
   /// Dependency fingerprint: physical table name -> dirty epoch at
   /// derivation time (aliased because commas in template ids break the
@@ -319,10 +297,6 @@ class AccessLayer : public AccessBackend {
   obs::Counter* latch_fine_;
   obs::Counter* latch_escalations_;
   obs::Counter* latch_global_;
-  obs::Counter* latch_key_scoped_;
-  // Shard-parallel executor counters, bumped when a fan-out actually runs.
-  obs::Counter* parallel_scans_;
-  obs::Counter* parallel_applies_;
 
   static constexpr size_t kMaxKernels = 16;
   struct KernelSlot {
@@ -354,7 +328,6 @@ class AccessLayer : public AccessBackend {
   bool batch_enabled_ = true;
 
   bool cache_enabled_ = false;
-  CacheMode cache_mode_ = CacheMode::kGenealogy;
   // Guards cache_ and cache_stats_. Never held while deriving or latching;
   // FootprintDeps runs before the lock is taken.
   mutable std::mutex cache_mu_;
@@ -419,11 +392,7 @@ struct MaterializeRequest {
 /// thread or during quiesce.
 class Inverda {
  public:
-  /// `shards` <= 0 takes the process default (INVERDA_SHARDS, else 1): the
-  /// number of hash-partitioned shards every physical table splits its rows
-  /// into (docs/storage.md). One shard is the pre-sharding engine, bit for
-  /// bit.
-  explicit Inverda(int shards = 0);
+  Inverda();
 
   Inverda(const Inverda&) = delete;
   Inverda& operator=(const Inverda&) = delete;
@@ -453,7 +422,7 @@ class Inverda {
   /// coordinator backfills chunk-by-chunk and replays concurrently captured
   /// writes, and the commit is a brief exclusive epoch flip. Both modes are
   /// recorded in MigrationState(). While an online migration is active all
-  /// other DDL (evolution, drops, a second MATERIALIZE, Reshard) is
+  /// other DDL (evolution, drops, a second MATERIALIZE) is
   /// rejected with InvalidState; behind a blocking one it waits.
   Status Materialize(const MaterializeRequest& request);
 
@@ -534,14 +503,6 @@ class Inverda {
   VersionCatalog& catalog() { return catalog_; }
   Database& db() { return db_; }
   AccessLayer& access() { return access_; }
-
-  /// The active shard count of the physical store.
-  int shards() const { return db_.shards(); }
-
-  /// Re-partitions every physical table into `shards` shards (clamped to
-  /// [1, kMaxShards]). Takes the DDL-exclusive lock, so it never races
-  /// with data access; content, plans and footprints are unchanged.
-  Status Reshard(int shards);
 
   // --- observability ---------------------------------------------------------
 

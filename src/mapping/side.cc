@@ -1,10 +1,6 @@
 #include "mapping/side.h"
 
-#include <algorithm>
-#include <atomic>
 #include <utility>
-
-#include "util/thread_pool.h"
 
 namespace inverda {
 
@@ -94,85 +90,9 @@ Result<RowMap> CollectVersion(AccessBackend* backend, TvId tv) {
   return rows;
 }
 
-namespace {
-
-std::atomic<int64_t> g_parallel_scan_min_rows{4096};
-
-// Shard-parallel fill: gather every shard's sorted items concurrently,
-// merge into one ascending-key sequence, then scatter keys and cells into
-// the pre-grown batch in parallel row chunks. Produces byte-for-byte the
-// same batch as the sequential Scan/AppendRow path.
-Status ParallelBatchFromTable(const Table& table, RowBatch* out) {
-  ThreadPool& pool = ScanPool();
-  const int shards = table.shard_count();
-  std::vector<std::vector<std::pair<int64_t, const Row*>>> per_shard(
-      static_cast<size_t>(shards));
-  pool.ParallelFor(shards, [&](int64_t s) {
-    per_shard[static_cast<size_t>(s)] =
-        table.ShardItems(static_cast<int>(s));
-  });
-
-  std::vector<std::pair<int64_t, const Row*>> merged;
-  merged.reserve(static_cast<size_t>(table.size()));
-  for (auto& items : per_shard) {
-    merged.insert(merged.end(), items.begin(), items.end());
-  }
-  // Each shard is already sorted, but the hash partition interleaves key
-  // ranges, so a full sort (keys are unique) restores the global order.
-  std::sort(merged.begin(), merged.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  const int64_t base = out->size();
-  const int64_t n = static_cast<int64_t>(merged.size());
-  INVERDA_RETURN_IF_ERROR(out->GrowRows(base + n));
-  const int cols = out->num_columns();
-  std::atomic<bool> width_ok{true};
-  constexpr int64_t kChunk = 2048;
-  const int64_t chunks = (n + kChunk - 1) / kChunk;
-  pool.ParallelFor(chunks, [&](int64_t c) {
-    const int64_t lo = c * kChunk;
-    const int64_t hi = std::min(n, lo + kChunk);
-    for (int64_t i = lo; i < hi; ++i) {
-      const auto& [key, row] = merged[static_cast<size_t>(i)];
-      if (static_cast<int>(row->size()) != cols) {
-        width_ok.store(false, std::memory_order_relaxed);
-        return;
-      }
-      out->set_key(base + i, key);
-      for (int col = 0; col < cols; ++col) {
-        out->column(col)[static_cast<size_t>(base + i)] =
-            (*row)[static_cast<size_t>(col)];
-      }
-    }
-  });
-  if (!width_ok.load(std::memory_order_relaxed)) {
-    return Status::Internal("batch row width != " + std::to_string(cols));
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-int64_t ParallelScanMinRows() {
-  return g_parallel_scan_min_rows.load(std::memory_order_relaxed);
-}
-
-void SetParallelScanMinRows(int64_t rows) {
-  g_parallel_scan_min_rows.store(rows < 0 ? 0 : rows,
-                                 std::memory_order_relaxed);
-}
-
-bool ParallelScanEligible(const Table& table) {
-  return table.shard_count() > 1 && ScanPool().threads() > 0 &&
-         table.size() >= ParallelScanMinRows();
-}
-
 Status BatchFromTable(const Table& table, RowBatch* out) {
   INVERDA_RETURN_IF_ERROR(
       out->SetNumColumns(table.schema().num_columns()));
-  if (ParallelScanEligible(table) && !out->has_selection()) {
-    return ParallelBatchFromTable(table, out);
-  }
   out->Reserve(out->size() + table.size());
   Status status = Status::OK();
   table.Scan([&](int64_t key, const Row& row) {

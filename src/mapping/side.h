@@ -227,23 +227,9 @@ Result<RowMap> CollectVersion(AccessBackend* backend, TvId tv);
 
 /// Row-major <-> columnar conversions between Table and RowBatch (kept out
 /// of RowBatch itself so src/types stays independent of storage).
-/// BatchFromTable appends the rows in ascending key order; on a sharded
-/// table large enough to amortize the fan-out (ParallelScanEligible) the
-/// fill runs shard-parallel over the ScanPool() — same output, same order.
+/// BatchFromTable appends the rows in ascending key order.
 Status BatchFromTable(const Table& table, RowBatch* out);
 Status BatchToTable(const RowBatch& batch, Table* out);
-
-/// True when BatchFromTable would take the shard-parallel path for
-/// `table`: more than one shard, a pool with workers, and at least
-/// ParallelScanMinRows() rows. Exposed so the access layer can count
-/// parallel scans without duplicating the policy.
-bool ParallelScanEligible(const Table& table);
-
-/// The row threshold below which BatchFromTable stays single-threaded
-/// (fan-out has fixed wake-up cost; tiny tables lose). Default 4096;
-/// settable for tests and benchmarks.
-int64_t ParallelScanMinRows();
-void SetParallelScanMinRows(int64_t rows);
 
 }  // namespace inverda
 

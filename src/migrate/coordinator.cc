@@ -232,8 +232,7 @@ Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
     if (job->old_physical.count(tv)) continue;
     TableSchema schema = catalog.table_version(tv).schema;
     schema.set_name(catalog.DataTableName(tv));
-    auto entry = std::make_unique<StagedEntry>(
-        Table(std::move(schema), owner_->db_.shards()));
+    auto entry = std::make_unique<StagedEntry>(Table(std::move(schema)));
     entry->tv = tv;
     entry->physical_name = catalog.DataTableName(tv);
     entry->component = catalog.ComponentOf(tv);
@@ -262,8 +261,8 @@ Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
         return Status::Internal("aux definition missing: " + aux);
       }
       std::string physical_name = catalog.AuxTableName(id, aux);
-      auto entry = std::make_unique<StagedEntry>(Table(
-          TableSchema(physical_name, def->payload), owner_->db_.shards()));
+      auto entry = std::make_unique<StagedEntry>(
+          Table(TableSchema(physical_name, def->payload)));
       entry->aux_smo = id;
       entry->aux_short = aux;
       entry->physical_name = std::move(physical_name);
@@ -630,7 +629,7 @@ Status MigrationCoordinator::RefreshEntry(StagedEntry* e, bool exclusive_held,
       e->refreshed_at != StagedEntry::kNeverRefreshed) {
     return Status::OK();  // still fresh
   }
-  Table fresh(e->content.schema(), owner_->db_.shards());
+  Table fresh(e->content.schema());
   auto derive = [&]() -> Status {
     if (e->tv >= 0) {
       // Non-key-stable data table: re-derive the whole view through the

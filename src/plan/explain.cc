@@ -89,8 +89,7 @@ void CollectSteps(const obs::TraceSpan& span,
 
 }  // namespace
 
-std::string ExplainPlan(const TvPlan& compiled, const std::string& title,
-                        int shards) {
+std::string ExplainPlan(const TvPlan& compiled, const std::string& title) {
   std::string out = "plan for " + title + " (" + compiled.label +
                     "): distance " + std::to_string(compiled.distance()) +
                     ", epoch " + std::to_string(compiled.epoch) + "\n";
@@ -110,10 +109,6 @@ std::string ExplainPlan(const TvPlan& compiled, const std::string& title,
   for (const std::string& name : compiled.footprint) out += " " + name;
   out += " (" + std::to_string(compiled.footprint.size()) +
          (compiled.footprint.size() == 1 ? " table)\n" : " tables)\n");
-  if (shards > 1) {
-    out += "  shards: " + std::to_string(shards) +
-           " per physical table (hash of p)\n";
-  }
   return out;
 }
 

@@ -15,11 +15,8 @@ namespace plan {
 /// data table and the dependency footprint. `title` names the plan (for
 /// the shell, "<version>.<table>"). Expects a full plan (see
 /// PlanCompiler::Compile); used by EXPLAIN in the shell and by
-/// bidel_lint --explain. With `shards` > 1 a final line reports the hash
-/// partition of every physical table in the footprint (sharding never
-/// changes the plan itself, only the latch granularity underneath).
-std::string ExplainPlan(const TvPlan& compiled, const std::string& title,
-                        int shards = 1);
+/// bidel_lint --explain.
+std::string ExplainPlan(const TvPlan& compiled, const std::string& title);
 
 /// Renders a recorded trace (TRACE LAST in the shell) through the same
 /// step formatter as ExplainPlan — a trace reads as the plan it executed,

@@ -2,32 +2,17 @@
 
 namespace inverda {
 
-Database::Database(int shards)
-    : shards_(shards <= 0 ? DefaultShardCount() : ClampShardCount(shards)) {
-  latches_->set_shards(shards_);
-}
-
-void Database::Reshard(int shards) {
-  shards_ = ClampShardCount(shards);
-  for (auto& [name, table] : tables_) {
-    (void)name;
-    table.Reshard(shards_);
-  }
-  latches_->set_shards(shards_);
-}
-
 bool Database::HasTable(const std::string& name) const {
   return tables_.count(name) > 0;
 }
 
 Status Database::CreateTable(TableSchema schema) {
-  return AddTable(Table(std::move(schema), shards_));
+  return AddTable(Table(std::move(schema)));
 }
 
 Status Database::AddTable(Table table) {
   const std::string name = table.schema().name();
   if (tables_.count(name) > 0) return Status::AlreadyExists("table " + name);
-  table.Reshard(shards_);
   tables_.emplace(name, std::move(table));
   return Status::OK();
 }

@@ -21,11 +21,7 @@ namespace inverda {
 /// in-memory engine.
 class Database {
  public:
-  /// `shards` <= 0 takes the process default (INVERDA_SHARDS, else 1).
-  /// Every physical table the database creates is partitioned into that
-  /// many shards, and the latch registry exposes matching per-shard
-  /// latches (docs/storage.md).
-  explicit Database(int shards = 0);
+  Database() = default;
 
   // Physical storage holds unique state; moving is fine, copying is not.
   Database(const Database&) = delete;
@@ -34,16 +30,6 @@ class Database {
   Database& operator=(Database&&) = default;
 
   Sequence& sequence() { return sequence_; }
-
-  /// The active shard count of every physical table (1 = unsharded).
-  int shards() const { return shards_; }
-
-  /// Re-buckets every physical table into `shards` shards and updates the
-  /// latch registry's active count. The caller must hold every operation
-  /// out (the facade runs this under its exclusive DDL lock). Plans and
-  /// footprints are unaffected — sharding is invisible above the storage
-  /// layer.
-  void Reshard(int shards);
 
   /// Per-table reader/writer latches keyed by physical table name, plus the
   /// global fallback latch. The access layer acquires a sorted latch set
@@ -56,8 +42,8 @@ class Database {
   /// Creates an empty physical table. Fails with AlreadyExists.
   Status CreateTable(TableSchema schema);
 
-  /// Installs a prebuilt table under its schema name, re-bucketed to the
-  /// active shard count. Fails with AlreadyExists.
+  /// Installs a prebuilt table under its schema name. Fails with
+  /// AlreadyExists.
   Status AddTable(Table table);
 
   /// Drops a physical table. Fails with NotFound.
@@ -85,7 +71,6 @@ class Database {
  private:
   std::map<std::string, Table> tables_;
   Sequence sequence_;
-  int shards_ = 1;
   std::unique_ptr<LatchRegistry> latches_ = std::make_unique<LatchRegistry>();
 };
 

@@ -11,15 +11,6 @@ std::shared_mutex& LatchRegistry::Latch(const std::string& name) {
   return *slot;
 }
 
-std::shared_mutex* LatchRegistry::ShardLatches(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::unique_ptr<std::shared_mutex[]>& slot = shard_latches_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<std::shared_mutex[]>(kMaxShards);
-  }
-  return slot.get();
-}
-
 void TableLatchSet::Push(std::shared_mutex* latch, bool exclusive) {
   if (exclusive) {
     latch->lock();
@@ -33,84 +24,16 @@ void TableLatchSet::Acquire(LatchRegistry* registry,
                             std::vector<std::string> names, bool exclusive) {
   std::sort(names.begin(), names.end());
   names.erase(std::unique(names.begin(), names.end()), names.end());
-  for (;;) {
-    const int shards = registry->shards();
-    // Escalation: too many tables (the pre-sharding rule) or, sharded,
-    // too many latches in total — whole-table readers hold every shard
-    // latch, so the budget is names * (1 table + shards latches).
-    const size_t per_table =
-        (shards > 1 && !exclusive) ? 1 + static_cast<size_t>(shards) : 1;
-    if (names.size() > kEscalationLimit ||
-        names.size() * per_table > kShardLatchBudget) {
-      escalated_ = true;
-      AcquireGlobal(registry);
-      return;
-    }
-    // Global first (it orders before every table latch), shared: a coarse
-    // holder has it exclusive, so the granularities exclude each other.
-    Push(&registry->global(), false);
-    if (registry->shards() != shards) {
-      // A reshard slipped in before we held the global latch; retry with
-      // the current count.
-      Release();
-      continue;
-    }
-    for (const std::string& name : names) {
-      Push(&registry->Latch(name), exclusive);
-      if (shards > 1 && !exclusive) {
-        // Whole-table readers cover every shard, so key-scoped writers
-        // (which skip the exclusive table latch) still conflict with them.
-        std::shared_mutex* shard_latches = registry->ShardLatches(name);
-        for (int i = 0; i < shards; ++i) {
-          Push(&shard_latches[i], false);
-        }
-      }
-      // Whole-table writers hold the table latch exclusively: that alone
-      // excludes readers (shared table latch) and key-scoped accesses
-      // (shared table latch), so no shard latch is needed.
-    }
+  if (names.size() > kEscalationLimit) {
+    escalated_ = true;
+    AcquireGlobal(registry);
     return;
   }
-}
-
-void TableLatchSet::AcquireKeyScoped(LatchRegistry* registry,
-                                     const std::string& name,
-                                     const std::vector<int64_t>& keys,
-                                     bool exclusive) {
-  for (;;) {
-    const int shards = registry->shards();
-    if (shards <= 1) {
-      Acquire(registry, {name}, exclusive);
-      return;
-    }
-    Push(&registry->global(), false);
-    if (registry->shards() != shards) {
-      Release();
-      continue;
-    }
-    // The shard set is computed under the global latch, so it uses the
-    // same shard count the table's buckets do (Database::Reshard updates
-    // both while holding every operation out).
-    std::vector<int> targets;
-    targets.reserve(keys.size());
-    for (int64_t key : keys) targets.push_back(ShardOf(key, shards));
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-    if (targets.size() + 2 > kShardLatchBudget) {
-      // A write set spanning nearly every shard gains nothing from
-      // key-scoping: take the whole table instead.
-      Release();
-      Acquire(registry, {name}, exclusive);
-      return;
-    }
-    // Canonical per-table order: table latch, then shard latches
-    // ascending — the same order whole-table acquisitions use.
-    Push(&registry->Latch(name), false);
-    std::shared_mutex* shard_latches = registry->ShardLatches(name);
-    for (int shard : targets) {
-      Push(&shard_latches[shard], exclusive);
-    }
-    return;
+  // Global first (it orders before every table latch), shared: a coarse
+  // holder has it exclusive, so the granularities exclude each other.
+  Push(&registry->global(), false);
+  for (const std::string& name : names) {
+    Push(&registry->Latch(name), exclusive);
   }
 }
 

@@ -10,106 +10,43 @@ uint64_t Table::NextEpoch() {
   return ++counter;
 }
 
-void Table::InsortKey(std::vector<int64_t>* order, int64_t key) {
-  if (order->empty() || key > order->back()) {
-    order->push_back(key);  // monotonic sequence keys: the common case
+Status Table::CheckWidth(const Row& row) const {
+  if (static_cast<int>(row.size()) == schema_.num_columns()) {
+    return Status::OK();
+  }
+  return Status::ConstraintViolation(
+      "row width " + std::to_string(row.size()) + " does not match schema " +
+      schema_.ToString());
+}
+
+void Table::IndexKey(int64_t key) {
+  if (order_.empty() || key > order_.back()) {
+    order_.push_back(key);  // monotonic sequence keys: the common case
     return;
   }
-  order->insert(std::lower_bound(order->begin(), order->end(), key), key);
-}
-
-void Table::RemoveKey(std::vector<int64_t>* order, int64_t key) {
-  auto it = std::lower_bound(order->begin(), order->end(), key);
-  if (it != order->end() && *it == key) order->erase(it);
-}
-
-std::vector<std::pair<int64_t, const Row*>> Table::ShardItems(
-    int shard) const {
-  const Bucket& bucket = buckets_[static_cast<size_t>(shard)];
-  const std::vector<int64_t>& keys = order_[static_cast<size_t>(shard)];
-  std::vector<std::pair<int64_t, const Row*>> items;
-  items.reserve(keys.size());
-  for (int64_t key : keys) {
-    items.emplace_back(key, &bucket.find(key)->second);
-  }
-  return items;
-}
-
-std::vector<std::pair<int64_t, const Row*>> Table::SortedItems() const {
-  if (shard_count() == 1) return ShardItems(0);
-  std::vector<std::pair<int64_t, const Row*>> items;
-  items.reserve(static_cast<size_t>(size()));
-  for (int shard = 0; shard < shard_count(); ++shard) {
-    const Bucket& bucket = buckets_[static_cast<size_t>(shard)];
-    for (int64_t key : order_[static_cast<size_t>(shard)]) {
-      items.emplace_back(key, &bucket.find(key)->second);
-    }
-  }
-  // S sorted runs concatenated; sort merges them (cheaper than a cold
-  // sort — the runs are pre-ordered — and only the sequential S>1 path
-  // pays it; the parallel executor merges per-shard results itself).
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  return items;
-}
-
-void Table::Reshard(int shards) {
-  const int target = ClampShardCount(shards);
-  if (target == shard_count()) return;
-  std::vector<Bucket> next(static_cast<size_t>(target));
-  for (Bucket& bucket : buckets_) {
-    for (auto& [key, row] : bucket) {
-      next[static_cast<size_t>(ShardOf(key, target))].emplace(
-          key, std::move(row));
-    }
-  }
-  buckets_ = std::move(next);
-  order_.assign(static_cast<size_t>(target), {});
-  for (size_t shard = 0; shard < buckets_.size(); ++shard) {
-    std::vector<int64_t>& keys = order_[shard];
-    keys.reserve(buckets_[shard].size());
-    for (const auto& [key, row] : buckets_[shard]) {
-      (void)row;
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-  }
-  Touch();
+  order_.insert(std::lower_bound(order_.begin(), order_.end(), key), key);
 }
 
 const Row* Table::Find(int64_t key) const {
-  const Bucket& bucket = BucketFor(key);
-  auto it = bucket.find(key);
-  return it == bucket.end() ? nullptr : &it->second;
+  auto it = rows_.find(key);
+  return it == rows_.end() ? nullptr : &it->second;
 }
 
 Status Table::Insert(int64_t key, Row row) {
-  if (static_cast<int>(row.size()) != schema_.num_columns()) {
-    return Status::ConstraintViolation(
-        "row width " + std::to_string(row.size()) + " does not match schema " +
-        schema_.ToString());
-  }
-  auto [it, inserted] = BucketFor(key).emplace(key, std::move(row));
-  (void)it;
-  if (!inserted) {
+  INVERDA_RETURN_IF_ERROR(CheckWidth(row));
+  if (!rows_.emplace(key, std::move(row)).second) {
     return Status::ConstraintViolation("duplicate key " + std::to_string(key) +
                                        " in " + schema_.name());
   }
-  size_.fetch_add(1, std::memory_order_acq_rel);
-  InsortKey(&OrderFor(key), key);
+  IndexKey(key);
   Touch();
   return Status::OK();
 }
 
 Status Table::Update(int64_t key, Row row) {
-  if (static_cast<int>(row.size()) != schema_.num_columns()) {
-    return Status::ConstraintViolation(
-        "row width " + std::to_string(row.size()) + " does not match schema " +
-        schema_.ToString());
-  }
-  Bucket& bucket = BucketFor(key);
-  auto it = bucket.find(key);
-  if (it == bucket.end()) {
+  INVERDA_RETURN_IF_ERROR(CheckWidth(row));
+  auto it = rows_.find(key);
+  if (it == rows_.end()) {
     return Status::NotFound("key " + std::to_string(key) + " not in " +
                             schema_.name());
   }
@@ -119,72 +56,43 @@ Status Table::Update(int64_t key, Row row) {
 }
 
 Status Table::Upsert(int64_t key, Row row) {
-  if (static_cast<int>(row.size()) != schema_.num_columns()) {
-    return Status::ConstraintViolation(
-        "row width " + std::to_string(row.size()) + " does not match schema " +
-        schema_.ToString());
-  }
-  Bucket& bucket = BucketFor(key);
-  auto [it, inserted] = bucket.insert_or_assign(key, std::move(row));
-  (void)it;
-  if (inserted) {
-    size_.fetch_add(1, std::memory_order_acq_rel);
-    InsortKey(&OrderFor(key), key);
-  }
+  INVERDA_RETURN_IF_ERROR(CheckWidth(row));
+  if (rows_.insert_or_assign(key, std::move(row)).second) IndexKey(key);
   Touch();
   return Status::OK();
 }
 
 bool Table::Erase(int64_t key) {
-  if (BucketFor(key).erase(key) == 0) return false;
-  size_.fetch_sub(1, std::memory_order_acq_rel);
-  RemoveKey(&OrderFor(key), key);
+  if (rows_.erase(key) == 0) return false;
+  auto it = std::lower_bound(order_.begin(), order_.end(), key);
+  if (it != order_.end() && *it == key) order_.erase(it);
   Touch();
   return true;
 }
 
 void Table::Clear() {
-  for (Bucket& bucket : buckets_) bucket.clear();
-  for (std::vector<int64_t>& keys : order_) keys.clear();
-  size_.store(0, std::memory_order_release);
+  rows_.clear();
+  order_.clear();
   Touch();
 }
 
 void Table::Scan(const std::function<void(int64_t, const Row&)>& fn) const {
-  if (shard_count() == 1) {
-    const Bucket& bucket = buckets_[0];
-    for (int64_t key : order_[0]) fn(key, bucket.find(key)->second);
-    return;
-  }
-  for (const auto& [key, row] : SortedItems()) fn(key, *row);
+  for (int64_t key : order_) fn(key, rows_.find(key)->second);
 }
 
 std::vector<KeyedRow> Table::Rows() const {
   std::vector<KeyedRow> out;
-  out.reserve(static_cast<size_t>(size()));
-  for (const auto& [key, row] : SortedItems()) out.push_back({key, *row});
-  return out;
-}
-
-std::vector<int64_t> Table::Keys() const {
-  if (shard_count() == 1) return order_[0];
-  std::vector<int64_t> out;
-  out.reserve(static_cast<size_t>(size()));
-  for (const std::vector<int64_t>& keys : order_) {
-    out.insert(out.end(), keys.begin(), keys.end());
-  }
-  std::sort(out.begin(), out.end());
+  out.reserve(order_.size());
+  for (int64_t key : order_) out.push_back({key, rows_.find(key)->second});
   return out;
 }
 
 bool Table::ContentEquals(const Table& other) const {
   if (!(schema_ == other.schema_)) return false;
   if (size() != other.size()) return false;
-  for (const Bucket& bucket : buckets_) {
-    for (const auto& [key, row] : bucket) {
-      const Row* theirs = other.Find(key);
-      if (theirs == nullptr || !RowsEqual(row, *theirs)) return false;
-    }
+  for (const auto& [key, row] : rows_) {
+    const Row* theirs = other.Find(key);
+    if (theirs == nullptr || !RowsEqual(row, *theirs)) return false;
   }
   return true;
 }
@@ -192,9 +100,9 @@ bool Table::ContentEquals(const Table& other) const {
 std::string Table::ToString() const {
   std::string out = schema_.ToString() + " [" + std::to_string(size()) +
                     " rows]\n";
-  for (const auto& [key, row] : SortedItems()) {
-    out += "  p=" + std::to_string(key) + " " + RowToString(*row) + "\n";
-  }
+  Scan([&out](int64_t key, const Row& row) {
+    out += "  p=" + std::to_string(key) + " " + RowToString(row) + "\n";
+  });
   return out;
 }
 

@@ -11,7 +11,6 @@
 
 #include "schema/schema.h"
 #include "types/row.h"
-#include "util/shard.h"
 #include "util/status.h"
 
 namespace inverda {
@@ -21,61 +20,41 @@ namespace inverda {
 /// the rule sets their "unique key p" guarantee (Lemma 5) and makes the
 /// multiset semantics of SQL fit the set semantics of the Datalog rules.
 ///
-/// Rows are partitioned by hash of `p` into a fixed number of shards, each
-/// an independent hash map (docs/storage.md). Key-scoped operations touch
-/// exactly one shard, so writers to different shards of the same table can
-/// run in parallel under per-shard latches, and full scans can fan out
-/// shard-parallel. One shard (the default) is the degenerate case that
-/// behaves exactly like the old single-map store.
-///
-/// Every order-visible API (Scan, Rows, Keys, ToString) presents the rows
-/// in ascending key order regardless of the shard count, so scans stay
-/// deterministic and the same data reads identically at any S — the
-/// invariant the golden tests, the kernels and the cross-validation suites
-/// rely on.
+/// Rows live in one hash map, next to an ascending key index
+/// (docs/storage.md). Every order-visible API (Scan, Rows, Keys, ToString)
+/// walks that index, so scans are deterministic and present the rows in
+/// ascending key order — the invariant the golden tests, the kernels and
+/// the cross-validation suites rely on.
 class Table {
  public:
-  /// `shards` <= 0 takes the process default (INVERDA_SHARDS, else 1).
-  explicit Table(TableSchema schema, int shards = 0)
-      : schema_(std::move(schema)),
-        buckets_(static_cast<size_t>(
-            shards <= 0 ? DefaultShardCount() : ClampShardCount(shards))),
-        order_(buckets_.size()) {}
+  explicit Table(TableSchema schema) : schema_(std::move(schema)) {}
 
-  // Value semantics over the atomic epoch stamp and row counter: copies
-  // share their original's stamp (identical content), moves carry it
-  // along. Loads are acquire and stores release, pairing with the
-  // latch-free validation reads of epoch().
+  // Value semantics over the atomic epoch stamp: copies share their
+  // original's stamp (identical content), moves carry it along. Loads are
+  // acquire and stores release, pairing with the latch-free validation
+  // reads of epoch().
   Table(const Table& other)
       : schema_(other.schema_),
-        buckets_(other.buckets_),
+        rows_(other.rows_),
         order_(other.order_),
-        size_(other.size_.load(std::memory_order_acquire)),
-        epoch_(other.epoch_.load(std::memory_order_acquire)) {}
+        epoch_(other.epoch()) {}
   Table& operator=(const Table& other) {
     schema_ = other.schema_;
-    buckets_ = other.buckets_;
+    rows_ = other.rows_;
     order_ = other.order_;
-    size_.store(other.size_.load(std::memory_order_acquire),
-                std::memory_order_release);
-    epoch_.store(other.epoch_.load(std::memory_order_acquire),
-                 std::memory_order_release);
+    epoch_.store(other.epoch(), std::memory_order_release);
     return *this;
   }
   Table(Table&& other) noexcept
       : schema_(std::move(other.schema_)),
-        buckets_(std::move(other.buckets_)),
+        rows_(std::move(other.rows_)),
         order_(std::move(other.order_)),
-        size_(other.size_.load(std::memory_order_acquire)),
-        epoch_(other.epoch_.load(std::memory_order_acquire)) {}
+        epoch_(other.epoch()) {}
   Table& operator=(Table&& other) noexcept {
     schema_ = std::move(other.schema_);
-    buckets_ = std::move(other.buckets_);
+    rows_ = std::move(other.rows_);
     order_ = std::move(other.order_);
-    size_.store(other.size_.load(std::memory_order_acquire),
-                std::memory_order_release);
-    epoch_.store(other.epoch_.load(std::memory_order_acquire),
-                 std::memory_order_release);
+    epoch_.store(other.epoch(), std::memory_order_release);
     return *this;
   }
 
@@ -93,34 +72,10 @@ class Table {
   /// is atomic so validation may read it without holding the table's latch.
   uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
 
-  /// Row count across all shards. Atomic so key-scoped writers to
-  /// different shards can maintain it concurrently.
-  int64_t size() const { return size_.load(std::memory_order_acquire); }
-  bool empty() const { return size() == 0; }
+  int64_t size() const { return static_cast<int64_t>(rows_.size()); }
+  bool empty() const { return rows_.empty(); }
 
-  // --- shard structure -------------------------------------------------------
-
-  int shard_count() const { return static_cast<int>(buckets_.size()); }
-
-  /// The shard that stores key `p` (util/shard.h routing).
-  int ShardOfKey(int64_t key) const { return ShardOf(key, shard_count()); }
-
-  int64_t shard_size(int shard) const {
-    return static_cast<int64_t>(buckets_[static_cast<size_t>(shard)].size());
-  }
-
-  /// The rows of one shard as (key, payload pointer) pairs in ascending
-  /// key order — the unit of shard-parallel scans. Pointers stay valid
-  /// until the next mutation of this shard.
-  std::vector<std::pair<int64_t, const Row*>> ShardItems(int shard) const;
-
-  /// Re-buckets every row into `shards` shards (caller must hold the table
-  /// exclusively; used by Database::Reshard). Counts as a mutation.
-  void Reshard(int shards);
-
-  // --- row access ------------------------------------------------------------
-
-  bool Contains(int64_t key) const { return Find(key) != nullptr; }
+  bool Contains(int64_t key) const { return rows_.count(key) > 0; }
 
   /// Pointer to the payload of row `key`, or nullptr.
   const Row* Find(int64_t key) const;
@@ -147,52 +102,33 @@ class Table {
   std::vector<KeyedRow> Rows() const;
 
   /// All keys, ascending.
-  std::vector<int64_t> Keys() const;
+  std::vector<int64_t> Keys() const { return order_; }
 
   /// Set equality: same schema column names/types and same keyed rows.
-  /// Shard-count agnostic — a table compares equal to a differently
-  /// sharded copy of the same content.
   bool ContentEquals(const Table& other) const;
 
   /// Multi-line debug rendering (ascending by key).
   std::string ToString() const;
 
  private:
-  using Bucket = std::unordered_map<int64_t, Row>;
-
-  Bucket& BucketFor(int64_t key) {
-    return buckets_[static_cast<size_t>(ShardOfKey(key))];
-  }
-  const Bucket& BucketFor(int64_t key) const {
-    return buckets_[static_cast<size_t>(ShardOfKey(key))];
-  }
-
-  // The ascending key index of one shard, maintained incrementally by
-  // every key-set mutation (in-place updates leave it alone). The hash
-  // buckets lost the iteration order the old ordered-map store gave for
-  // free, and sorting on every Scan doubled the FK/COND propagation path,
-  // which scans its aux tables once per propagated operation. Keys are
-  // drawn from the monotonic global sequence, so the sorted insert is an
-  // O(1) append in the common case. The index is only written under the
-  // same exclusive (table or shard) latch as the bucket it mirrors, so
-  // readers need no extra synchronization.
-  std::vector<int64_t>& OrderFor(int64_t key) {
-    return order_[static_cast<size_t>(ShardOfKey(key))];
-  }
-  static void InsortKey(std::vector<int64_t>* order, int64_t key);
-  static void RemoveKey(std::vector<int64_t>* order, int64_t key);
-
-  /// Every row of every shard, ascending by key.
-  std::vector<std::pair<int64_t, const Row*>> SortedItems() const;
+  Status CheckWidth(const Row& row) const;
+  /// Adds a freshly inserted key to the ascending index.
+  void IndexKey(int64_t key);
 
   /// Draws the next process-wide epoch stamp.
   static uint64_t NextEpoch();
   void Touch() { epoch_.store(NextEpoch(), std::memory_order_release); }
 
   TableSchema schema_;
-  std::vector<Bucket> buckets_;
-  std::vector<std::vector<int64_t>> order_;
-  std::atomic<int64_t> size_{0};
+  std::unordered_map<int64_t, Row> rows_;
+  // The ascending key index, maintained incrementally by every key-set
+  // mutation (in-place updates leave it alone). The hash map has no
+  // iteration order, and sorting on every Scan doubled the FK/COND
+  // propagation path, which scans its aux tables once per propagated
+  // operation. Keys are drawn from the monotonic global sequence, so the
+  // sorted insert is an O(1) append in the common case. The index is only
+  // written under the same exclusive table latch as the map it mirrors.
+  std::vector<int64_t> order_;
   std::atomic<uint64_t> epoch_{NextEpoch()};
 };
 

@@ -28,23 +28,6 @@ void RowBatch::Reserve(int64_t rows) {
   }
 }
 
-Status RowBatch::GrowRows(int64_t rows) {
-  if (num_columns_ < 0) {
-    return Status::Internal("GrowRows on a batch with unset width");
-  }
-  if (!selected_.empty()) {
-    return Status::Internal("GrowRows on a batch with a selection bitmap");
-  }
-  if (rows < size()) {
-    return Status::Internal("GrowRows would shrink the batch");
-  }
-  keys_.resize(static_cast<size_t>(rows), 0);
-  for (std::vector<Value>& col : columns_) {
-    col.resize(static_cast<size_t>(rows));
-  }
-  return Status::OK();
-}
-
 void RowBatch::Clear() {
   keys_.clear();
   for (std::vector<Value>& col : columns_) col.clear();

@@ -44,18 +44,6 @@ class RowBatch {
   void Reserve(int64_t rows);
   void Clear();
 
-  /// Grows the batch to `rows` total rows (new keys zero, new cells NULL)
-  /// so a parallel producer can fill keys and column cells in place via
-  /// set_key()/column() — distinct row ranges may be written from distinct
-  /// threads. Requires a fixed column count, no selection bitmap, and
-  /// `rows` >= size().
-  Status GrowRows(int64_t rows);
-
-  /// Writes key `i` in place (pairs with GrowRows).
-  void set_key(int64_t i, int64_t key) {
-    keys_[static_cast<size_t>(i)] = key;
-  }
-
   /// Appends one keyed row (sets the column count from the first row when
   /// still unset). Fails when the row width conflicts.
   Status AppendRow(int64_t key, const Row& row);

@@ -647,50 +647,21 @@ AnalysisReport VerifyPlan(const VersionCatalog& catalog,
 
 AnalysisReport CheckLockOrder(const std::vector<LockSequence>& sequences,
                               size_t escalation_limit, ProofStats* stats) {
-  return CheckLockOrder(sequences, escalation_limit, /*shards=*/1, stats);
-}
-
-AnalysisReport CheckLockOrder(const std::vector<LockSequence>& sequences,
-                              size_t escalation_limit, int shards,
-                              ProofStats* stats) {
   AnalysisReport report;
-  const bool sharded = shards > 1;
-  if (stats != nullptr) stats->lock_shards = sharded ? shards : 1;
   // Precedence graph: an edge a -> b for every consecutive acquisition,
-  // remembering one inducing sequence per edge for the report. With
-  // shards, each table node expands to the hierarchical chain a
-  // whole-table reader acquires — table latch first, then every shard
-  // latch ascending (`name#i`) — the maximal fine-grained sequence; the
-  // writer and key-scoped orders are subsequences of it, so acyclicity of
-  // the expanded graph covers them too.
+  // remembering one inducing sequence per edge for the report.
   std::map<std::string, std::map<std::string, const std::string*>> graph;
   std::set<std::string> tables;
-  std::vector<std::string> expanded;
   for (const LockSequence& seq : sequences) {
     if (stats != nullptr) ++stats->lock_sequences;
-    const size_t per_table = sharded ? 1 + static_cast<size_t>(shards) : 1;
-    if (seq.tables.size() > escalation_limit ||
-        seq.tables.size() * per_table > TableLatchSet::kShardLatchBudget) {
+    if (seq.tables.size() > escalation_limit) {
       // Escalated to the exclusive global latch: no per-table order taken.
-      // The budget term mirrors TableLatchSet::Acquire's sharded rule.
       if (stats != nullptr) ++stats->lock_escalations;
       continue;
     }
-    const std::vector<std::string>* names = &seq.tables;
-    if (sharded) {
-      expanded.clear();
-      expanded.reserve(seq.tables.size() * per_table);
-      for (const std::string& name : seq.tables) {
-        expanded.push_back(name);
-        for (int i = 0; i < shards; ++i) {
-          expanded.push_back(name + "#" + std::to_string(i));
-        }
-      }
-      names = &expanded;
-    }
-    for (const std::string& name : *names) tables.insert(name);
-    for (size_t i = 0; i + 1 < names->size(); ++i) {
-      graph[(*names)[i]].emplace((*names)[i + 1], &seq.label);
+    for (const std::string& name : seq.tables) tables.insert(name);
+    for (size_t i = 0; i + 1 < seq.tables.size(); ++i) {
+      graph[seq.tables[i]].emplace(seq.tables[i + 1], &seq.label);
     }
   }
   if (stats != nullptr) {
@@ -756,7 +727,7 @@ AnalysisReport CheckLockOrder(const std::vector<LockSequence>& sequences,
 }
 
 AnalysisReport CheckMigrationLockOrder(std::vector<LockSequence> sequences,
-                                       size_t escalation_limit, int shards,
+                                       size_t escalation_limit,
                                        ProofStats* stats) {
   // Model the capture protocol: a top-level write during an online
   // migration acquires its plan's latches (canonical sorted order), and
@@ -773,7 +744,7 @@ AnalysisReport CheckMigrationLockOrder(std::vector<LockSequence> sequences,
     seq.label += " +migration-capture";
     seq.tables.push_back(kMigrationCaptureLatch);
   }
-  return CheckLockOrder(sequences, escalation_limit + 1, shards, stats);
+  return CheckLockOrder(sequences, escalation_limit + 1, stats);
 }
 
 // --- genealogy-wide verification --------------------------------------------
@@ -803,17 +774,15 @@ Result<VerifySummary> VerifyGenealogy(const VersionCatalog& catalog,
     }
   }
   if (options.lock_order) {
-    AnalysisReport locks =
-        CheckLockOrder(sequences, TableLatchSet::kEscalationLimit,
-                       options.shards, &summary.stats);
+    AnalysisReport locks = CheckLockOrder(
+        sequences, TableLatchSet::kEscalationLimit, &summary.stats);
     if (locks.diagnostics.empty()) {
       // Base order proven: additionally discharge the online-migration
       // acquisition pattern (every write may take the coordinator's
       // capture leaf after its latches). Stats stay those of the base
       // pass — this is the same sequence set extended by one leaf.
       locks = CheckMigrationLockOrder(std::move(sequences),
-                                      TableLatchSet::kEscalationLimit,
-                                      options.shards, /*stats=*/nullptr);
+                                      TableLatchSet::kEscalationLimit);
     }
     summary.report.diagnostics.insert(summary.report.diagnostics.end(),
                                       locks.diagnostics.begin(),
@@ -834,10 +803,6 @@ std::string FormatVerifySummary(const VerifySummary& summary) {
   out << "  lock order: " << s.lock_sequences << " sequences over "
       << s.lock_tables << " tables, " << s.lock_escalations
       << " escalated to the global latch\n";
-  if (s.lock_shards > 1) {
-    out << "  lock model: " << s.lock_shards
-        << " shards per table ((table, shard) latch expansion)\n";
-  }
   if (summary.report.diagnostics.empty()) {
     out << "verified: round-trip, fusion and lock order hold for every "
            "compiled plan\n";
@@ -859,7 +824,6 @@ std::string VerifySummaryToJson(const VerifySummary& summary) {
       << ", \"lock_sequences\": " << s.lock_sequences
       << ", \"lock_tables\": " << s.lock_tables
       << ", \"lock_escalations\": " << s.lock_escalations
-      << ", \"lock_shards\": " << s.lock_shards
       << "}, \"report\": " << ReportToJson(summary.report, "") << "}";
   return out.str();
 }

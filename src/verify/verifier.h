@@ -47,14 +47,6 @@ struct VerifyOptions {
   bool roundtrip = true;
   bool fusion = true;
   bool lock_order = true;
-
-  /// Shard count the lock-order analysis models: with more than one shard,
-  /// every whole-table acquisition expands to the (table, shard) latch
-  /// chain TableLatchSet actually takes, and the escalation rule includes
-  /// the total latch budget. <= 1 models the unsharded engine.
-  /// Inverda::VerifyPlans injects the database's active count when left at
-  /// the default.
-  int shards = 0;
 };
 
 /// Proof accounting: what was checked and how obligations were discharged.
@@ -68,7 +60,6 @@ struct ProofStats {
   int lock_sequences = 0;    ///< latch sequences fed to the order analysis
   int lock_tables = 0;       ///< distinct latch names across all sequences
   int lock_escalations = 0;  ///< sequences exempt via global-latch escalation
-  int lock_shards = 1;       ///< shard count the lock analysis modeled
 };
 
 /// The outcome of verifying a genealogy: every diagnostic plus the proof
@@ -113,16 +104,6 @@ AnalysisReport CheckLockOrder(const std::vector<LockSequence>& sequences,
                               size_t escalation_limit,
                               ProofStats* stats = nullptr);
 
-/// Shard-aware variant: with `shards` > 1 every table in a sequence
-/// expands to the hierarchical latch chain a whole-table reader takes
-/// (`table, table#0, ..., table#S-1` — the maximal fine acquisition), and
-/// a sequence additionally escalates when its total latch count would
-/// exceed TableLatchSet::kShardLatchBudget, mirroring the runtime rule.
-/// `shards` <= 1 behaves exactly like the three-argument form.
-AnalysisReport CheckLockOrder(const std::vector<LockSequence>& sequences,
-                              size_t escalation_limit, int shards,
-                              ProofStats* stats);
-
 /// Latch-graph name of the migration coordinator's delta-log leaf lock
 /// (StagedEntry::mu). During an online migration every top-level write may
 /// take it after its table latches; '~' sorts after every physical table
@@ -136,7 +117,7 @@ inline constexpr char kMigrationCaptureLatch[] = "~migration.capture";
 /// must still embed into one global order. The escalation limit is raised
 /// by one so exactly the sequences that escalate at runtime stay exempt.
 AnalysisReport CheckMigrationLockOrder(std::vector<LockSequence> sequences,
-                                       size_t escalation_limit, int shards,
+                                       size_t escalation_limit,
                                        ProofStats* stats = nullptr);
 
 /// Verifies every table version of the genealogy under the current

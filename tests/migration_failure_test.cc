@@ -244,7 +244,6 @@ TEST_F(OnlineMigrationFailureTest, DdlIsRejectedWhileMigrationInFlight) {
                               "ADD COLUMN late INT AS 0 INTO Task;"),
                   "CREATE SCHEMA VERSION");
   expect_rejected(db_.DropSchemaVersion("Do!"), "DROP SCHEMA VERSION");
-  expect_rejected(db_.Reshard(2), "Reshard");
   // DML stays admitted: that is the whole point of the online path.
   EXPECT_TRUE(db_.Insert("TasKy", "Task",
                          {Value::String("a9"), Value::String("t9"),

@@ -2,9 +2,9 @@
 // versions run mixed workloads while a MigrationCoordinator moves the
 // materialization underneath them (an online Materialize — chunked
 // background copy, delta-log capture, brief exclusive flip;
-// docs/migration.md). The
-// coordinator is paced through its test hooks so the copy and catch-up
-// phases demonstrably overlap the workload, and the oracle is exact:
+// docs/migration.md). The coordinator is paced through its test hooks so
+// the copy and catch-up phases demonstrably overlap the workload, and the
+// oracle is exact:
 //
 //  - every live version commits operations *while* the migration runs
 //    (the paper's co-existence promise, now including the one operation
@@ -14,8 +14,8 @@
 //    inserts — a key copied before a concurrent delete, or a captured
 //    write dropped by the drain, breaks set equality.
 //
-// Runs under TSan in the stress label (scripts/check.sh --tsan, including
-// the INVERDA_SHARDS=4 rerun); replay with INVERDA_TEST_SEED=<seed>.
+// Runs under TSan in the stress label (scripts/check.sh --tsan); replay
+// with INVERDA_TEST_SEED=<seed>.
 
 #include <gtest/gtest.h>
 

@@ -245,43 +245,6 @@ TEST(LockOrderTest, EscalatedSequencesAreExemptFromTheGraph) {
   EXPECT_EQ(stats.lock_escalations, 1);
 }
 
-TEST(LockOrderTest, ShardedExpansionEmbedsIntoOneGlobalOrder) {
-  // Under sharding every table expands to (table, shard 0..S-1) in
-  // ascending shard order — the maximal reader chain; writer and
-  // key-scoped acquisition orders are subsequences of it, so proving the
-  // expansion acyclic proves them all.
-  verify::ProofStats stats;
-  AnalysisReport report = verify::CheckLockOrder(
-      {{"p1", {"a", "b", "c"}}, {"p2", {"b", "c", "d"}}, {"p3", {"a", "d"}}},
-      TableLatchSet::kEscalationLimit, /*shards=*/4, &stats);
-  EXPECT_TRUE(report.diagnostics.empty()) << FormatReport(report, "");
-  EXPECT_EQ(stats.lock_sequences, 3);
-  EXPECT_EQ(stats.lock_shards, 4);
-}
-
-TEST(LockOrderTest, ShardedExpansionStillCatchesConflicts) {
-  AnalysisReport report = verify::CheckLockOrder(
-      {{"p1", {"a", "b"}}, {"p2", {"b", "a"}}},
-      TableLatchSet::kEscalationLimit, /*shards=*/8, nullptr);
-  EXPECT_NE(FindRule(report, "lock-order-violation"), nullptr)
-      << FormatReport(report, "");
-}
-
-TEST(LockOrderTest, ShardLatchBudgetForcesEscalation) {
-  // Three tables at 20 shards is 3 * (1 + 20) = 63 latches — over the
-  // kShardLatchBudget of 48 — so that sequence escalates to the global
-  // latch and leaves the per-table graph, exactly as
-  // TableLatchSet::Acquire does; the two-table sequence (42 latches)
-  // stays fine-grained.
-  verify::ProofStats stats;
-  AnalysisReport report = verify::CheckLockOrder(
-      {{"wide", {"a", "b", "c"}}, {"narrow", {"a", "b"}}},
-      TableLatchSet::kEscalationLimit, /*shards=*/20, &stats);
-  EXPECT_TRUE(report.diagnostics.empty()) << FormatReport(report, "");
-  EXPECT_EQ(stats.lock_escalations, 1);
-  EXPECT_EQ(stats.lock_shards, 20);
-}
-
 // --- negatives: corrupted plans trip each round-trip rule -------------------
 
 class StrippedAuxTest : public ::testing::Test {

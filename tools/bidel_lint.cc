@@ -33,7 +33,6 @@
 // under --explain, where they are applied so the plans exist.
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -44,7 +43,6 @@
 #include "analysis/diagnostic.h"
 #include "inverda/inverda.h"
 #include "plan/explain.h"
-#include "util/shard.h"
 
 namespace inverda {
 namespace {
@@ -73,11 +71,7 @@ int Usage() {
                "                    apply the scripts, run an online\n"
                "                    MATERIALIZE of <target> (\"Version\" or\n"
                "                    \"Version.table\") to completion, and\n"
-               "                    print the migration status line\n"
-               "  --shards <n>      partition every physical table into <n>\n"
-               "                    hash shards (default: INVERDA_SHARDS or\n"
-               "                    1; affects latching and the verifier's\n"
-               "                    lock model, never results)\n");
+               "                    print the migration status line\n");
   return 2;
 }
 
@@ -97,8 +91,8 @@ std::string ReadStdin() {
 }
 
 int RunLint(const std::vector<std::string>& scripts,
-            const std::string& setup_path, bool json, int shards) {
-  Inverda db(shards);
+            const std::string& setup_path, bool json) {
+  Inverda db;
   if (!setup_path.empty()) {
     std::string setup;
     if (!ReadFile(setup_path, &setup)) {
@@ -129,8 +123,8 @@ int RunLint(const std::vector<std::string>& scripts,
 // --explain: the scripts are applied, not simulated, and then the compiled
 // access plan of every visible version.table is rendered.
 int RunExplain(const std::vector<std::string>& scripts,
-               const std::string& setup_path, int shards) {
-  Inverda db(shards);
+               const std::string& setup_path) {
+  Inverda db;
   std::vector<std::string> all = scripts;
   if (!setup_path.empty()) {
     std::string setup;
@@ -160,9 +154,8 @@ int RunExplain(const std::vector<std::string>& scripts,
                      compiled.status().ToString().c_str());
         return 2;
       }
-      std::printf("%s\n", plan::ExplainPlan(**compiled, version + "." + table,
-                                            db.shards())
-                              .c_str());
+      std::printf("%s\n",
+                  plan::ExplainPlan(**compiled, version + "." + table).c_str());
     }
   }
   return 0;
@@ -173,8 +166,8 @@ int RunExplain(const std::vector<std::string>& scripts,
 // the unified registry is dumped as JSON — the machine-readable companion
 // of the shell's METRICS JSON.
 int RunMetrics(const std::vector<std::string>& scripts,
-               const std::string& setup_path, int shards) {
-  Inverda db(shards);
+               const std::string& setup_path) {
+  Inverda db;
   std::vector<std::string> all = scripts;
   if (!setup_path.empty()) {
     std::string setup;
@@ -216,8 +209,8 @@ int RunMetrics(const std::vector<std::string>& scripts,
 // apply the scripts with the compiler's verify gate enabled and run the
 // static verifier over every compiled plan in the genealogy.
 int RunVerifyPlans(const std::vector<std::string>& scripts,
-                   const std::string& setup_path, bool json, int shards) {
-  Inverda db(shards);
+                   const std::string& setup_path, bool json) {
+  Inverda db;
   if (!setup_path.empty()) {
     std::string setup;
     if (!ReadFile(setup_path, &setup)) {
@@ -270,8 +263,8 @@ int RunVerifyPlans(const std::vector<std::string>& scripts,
 // as the shell's MIGRATIONS command.
 int RunOnlineMaterialize(const std::vector<std::string>& scripts,
                          const std::string& setup_path,
-                         const std::string& target, int shards) {
-  Inverda db(shards);
+                         const std::string& target) {
+  Inverda db;
   std::vector<std::string> all = scripts;
   if (!setup_path.empty()) {
     std::string setup;
@@ -307,8 +300,8 @@ int RunOnlineMaterialize(const std::vector<std::string>& scripts,
 // in a one-shot tool run, so the workload is declared instead: a uniform
 // weight on every schema version (the neutral prior).
 int RunAdvise(const std::vector<std::string>& scripts,
-              const std::string& setup_path, bool json, int shards) {
-  Inverda db(shards);
+              const std::string& setup_path, bool json) {
+  Inverda db;
   std::vector<std::string> all = scripts;
   if (!setup_path.empty()) {
     std::string setup;
@@ -354,7 +347,6 @@ int main(int argc, char** argv) {
   bool metrics = false;
   bool verify_plans = false;
   bool advise = false;
-  int shards = 0;
   std::string online_target;
   std::string setup_path;
   std::vector<std::string> paths;
@@ -376,14 +368,6 @@ int main(int argc, char** argv) {
     } else if (arg == "--setup") {
       if (i + 1 >= argc) return inverda::Usage();
       setup_path = argv[++i];
-    } else if (arg == "--shards") {
-      if (i + 1 >= argc) return inverda::Usage();
-      char* end = nullptr;
-      shards = static_cast<int>(std::strtol(argv[++i], &end, 10));
-      if (end == argv[i] || *end != '\0' || shards < 1 ||
-          shards > inverda::kMaxShards) {
-        return inverda::Usage();
-      }
     } else if (arg == "--help" || arg == "-h") {
       inverda::Usage();
       return 0;
@@ -408,14 +392,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!online_target.empty()) {
-    return inverda::RunOnlineMaterialize(scripts, setup_path, online_target,
-                                         shards);
+    return inverda::RunOnlineMaterialize(scripts, setup_path, online_target);
   }
-  if (advise) return inverda::RunAdvise(scripts, setup_path, json, shards);
-  if (explain) return inverda::RunExplain(scripts, setup_path, shards);
-  if (metrics) return inverda::RunMetrics(scripts, setup_path, shards);
-  if (verify_plans) {
-    return inverda::RunVerifyPlans(scripts, setup_path, json, shards);
-  }
-  return inverda::RunLint(scripts, setup_path, json, shards);
+  if (advise) return inverda::RunAdvise(scripts, setup_path, json);
+  if (explain) return inverda::RunExplain(scripts, setup_path);
+  if (metrics) return inverda::RunMetrics(scripts, setup_path);
+  if (verify_plans) return inverda::RunVerifyPlans(scripts, setup_path, json);
+  return inverda::RunLint(scripts, setup_path, json);
 }

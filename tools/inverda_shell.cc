@@ -18,13 +18,11 @@
 //   LINT <statement>         -- static analysis without applying anything
 //   EXPLAIN <version>.<table> -- the compiled access plan (Figure 6 cases)
 //   VERIFY [JSON]            -- static plan verifier (docs/verifier.md)
-//   SHARDS [<n>]             -- show or set the physical shard count
 //   MIGRATIONS [START <targets>|WAIT|ABORT]  -- online MATERIALIZE
 //   ADVISE [APPLY|JSON|AUTO [ON|OFF]]  -- materialization advisor
 //   HELP | QUIT
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -193,7 +191,6 @@ class Shell {
     if (EqualsIgnoreCase(first, "METRICS")) return Metrics(rest);
     if (EqualsIgnoreCase(first, "MIGRATIONS")) return Migrations(rest);
     if (EqualsIgnoreCase(first, "ADVISE")) return Advise(rest);
-    if (EqualsIgnoreCase(first, "SHARDS")) return Shards(rest);
     if (EqualsIgnoreCase(first, "TRACE")) return Trace(rest);
     if (EqualsIgnoreCase(first, "EXPORT")) {
       INVERDA_ASSIGN_OR_RETURN(std::string script, ExportSession(&db_));
@@ -235,7 +232,6 @@ class Shell {
         "                 --   workload (docs/advisor.md); APPLY runs the\n"
         "                 --   winner via online migration; AUTO toggles\n"
         "                 --   auto-materialize (no argument shows status)\n"
-        "  SHARDS [<n>];  -- show or set the physical store's shard count\n"
         "  TRACE ON|OFF|LAST [n]|JSON [n];  -- per-operation span traces\n"
         "  EXPORT;        -- replayable genealogy + root data script\n"
         "  QUIT;\n");
@@ -266,8 +262,7 @@ class Shell {
                              db_.catalog().ResolveTable(vt.first, vt.second));
     INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* compiled,
                              db_.access().GetPlan(tv));
-    std::printf("%s",
-                plan::ExplainPlan(*compiled, target, db_.shards()).c_str());
+    std::printf("%s", plan::ExplainPlan(*compiled, target).c_str());
     return Status::OK();
   }
 
@@ -393,27 +388,6 @@ class Shell {
       return Status::OK();
     }
     return Status::InvalidArgument("ADVISE [APPLY|JSON|AUTO [ON|OFF]]");
-  }
-
-  Status Shards(const std::string& rest) {
-    if (rest.empty()) {
-      std::printf("  %d shard%s per physical table (max %d)\n", db_.shards(),
-                  db_.shards() == 1 ? "" : "s", kMaxShards);
-      return Status::OK();
-    }
-    char* end = nullptr;
-    const long shards = std::strtol(rest.c_str(), &end, 10);
-    if (end == rest.c_str() || *end != '\0') {
-      return Status::InvalidArgument("SHARDS [<n>]");
-    }
-    if (shards < 1 || shards > kMaxShards) {
-      return Status::InvalidArgument("shard count must be in [1, " +
-                                     std::to_string(kMaxShards) + "]");
-    }
-    INVERDA_RETURN_IF_ERROR(db_.Reshard(static_cast<int>(shards)));
-    std::printf("OK, %d shard%s per physical table\n", db_.shards(),
-                db_.shards() == 1 ? "" : "s");
-    return Status::OK();
   }
 
   Status Trace(const std::string& rest) {
