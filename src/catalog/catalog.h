@@ -184,11 +184,6 @@ class VersionCatalog {
   /// from the genealogy and cached until the structure changes.
   const SmoReach& Reach(SmoId id) const;
 
-  /// Every table version whose access path can pass through one of `smos`:
-  /// the union of the upstream and downstream closures. This is the set of
-  /// versions whose derived views a migration flipping `smos` may reroute.
-  std::set<TvId> AffectedBySmos(const std::set<SmoId>& smos) const;
-
   /// The undirected connected component of `id` in the genealogy
   /// hypergraph: the table versions that can share physical data with `id`
   /// under some materialization. Writes to `id` can never affect a version

@@ -80,19 +80,6 @@ const SmoReach& VersionCatalog::Reach(SmoId id) const {
   return reach_.at(id);
 }
 
-std::set<TvId> VersionCatalog::AffectedBySmos(
-    const std::set<SmoId>& smos) const {
-  EnsureReachability();
-  std::set<TvId> out;
-  for (SmoId id : smos) {
-    auto it = reach_.find(id);
-    if (it == reach_.end()) continue;
-    out.insert(it->second.upstream.begin(), it->second.upstream.end());
-    out.insert(it->second.downstream.begin(), it->second.downstream.end());
-  }
-  return out;
-}
-
 const std::set<TvId>& VersionCatalog::ComponentOf(TvId id) const {
   EnsureReachability();
   return components_[component_of_.at(id)];

@@ -1,9 +1,7 @@
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -13,7 +11,6 @@
 namespace inverda {
 
 thread_local int AccessLayer::access_depth_ = 0;
-thread_local WriteTrace AccessLayer::last_trace_;
 
 namespace {
 
@@ -74,9 +71,9 @@ AccessLayer::AccessLayer(VersionCatalog* catalog, Database* db,
   latch_fine_ = m.counter("latch.fine_grained");
   latch_escalations_ = m.counter("latch.escalations");
   latch_global_ = m.counter("latch.global");
-  // Pull sources: the plan/view caches already keep their own counters —
+  // Pull sources: the plan cache already keeps its own counters —
   // exporting them through callbacks keeps one source of truth, so the
-  // registry can never drift from the components' own view.
+  // registry can never drift from the component's own view.
   m.RegisterSource(
       "plan_cache",
       [this] {
@@ -90,16 +87,6 @@ AccessLayer::AccessLayer(VersionCatalog* catalog, Database* db,
             {"plan_cache.size", plan_cache_.size()}};
       },
       [this] { plan_cache_.ResetStats(); });
-  m.RegisterSource(
-      "view_cache",
-      [this] {
-        return std::vector<obs::MetricValue>{
-            {"view_cache.hits", cache_hits()},
-            {"view_cache.misses", cache_misses()},
-            {"view_cache.invalidations", cache_invalidations()},
-            {"view_cache.size", cache_size()}};
-      },
-      [this] { ResetCacheStats(); });
   // The compiler's walk counters are monotonic by contract (the plan cache
   // diffs them around compiles), so this source has no reset hook.
   m.RegisterSource("plan_compiler", [this] {
@@ -252,140 +239,36 @@ void AccessLayer::AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
   }
 }
 
-// --- derived-view cache -----------------------------------------------------
+// --- plan steps -------------------------------------------------------------
 
-Result<AccessLayer::DepVec> AccessLayer::FootprintDeps(const plan::TvPlan& p) {
-  const std::vector<std::string>* names = &p.footprint;
-  plan::TvPlan full;
-  if (!p.full) {
-    INVERDA_ASSIGN_OR_RETURN(full, compiler_.Compile(p.tv));
-    names = &full.footprint;
+template <typename Call, typename Rows>
+Status AccessLayer::RunStep(uint32_t hot, StepCall kind,
+                            const plan::PlanStep& step, const Call& call,
+                            const Rows& rows) {
+  // Fast path: no guard objects at all when every gate is off — nested
+  // kernel recursion multiplies this block's entry cost.
+  if (hot == 0) [[likely]] return call();
+  const bool derive = kind == StepCall::kDerive;
+  obs::SpanGuard span(
+      (hot & obs::Observability::kTracingBit) != 0 ? &obs_->tracer : nullptr,
+      derive ? "derive" : "propagate");
+  if (span) {
+    FillStepSpan(span.get(), step);
+    if (!derive) span->rows_in = rows();
   }
-  DepVec deps;
-  deps.reserve(names->size());
-  for (const std::string& name : *names) {
-    deps.emplace_back(name, db_->TableEpoch(name).value_or(0));
+  KernelMetrics* km = (hot & obs::Observability::kTimingBit) != 0
+                          ? MetricsForKernel(step.kernel)
+                          : nullptr;
+  obs::ScopedTimer kernel_timer(km == nullptr ? nullptr
+                                : derive      ? km->derive_ns
+                                              : km->propagate_ns);
+  INVERDA_RETURN_IF_ERROR(call());
+  if (derive) {
+    const int64_t produced = rows();
+    if (km != nullptr) km->derive_rows->Add(produced);
+    if (span) span->rows_out = produced;
   }
-  return deps;
-}
-
-std::shared_ptr<const Table> AccessLayer::LookupCache(TvId tv) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(tv);
-  if (it == cache_.end()) {
-    RecordCacheLookupLocked(tv, /*hit=*/false);
-    return nullptr;
-  }
-  for (const auto& [name, epoch] : it->second.deps) {
-    std::optional<uint64_t> current = db_->TableEpoch(name);
-    if (!current || *current != epoch) {
-      EraseCacheEntryLocked(tv);
-      RecordCacheLookupLocked(tv, /*hit=*/false);
-      return nullptr;
-    }
-  }
-  RecordCacheLookupLocked(tv, /*hit=*/true);
-  return it->second.table;
-}
-
-Status AccessLayer::StoreCache(const plan::TvPlan& p, Table table) {
-  // Fingerprint before locking: FootprintDeps may compile (catalog walk),
-  // which must not run under cache_mu_.
-  INVERDA_ASSIGN_OR_RETURN(DepVec deps, FootprintDeps(p));
-  auto view = std::make_shared<const Table>(std::move(table));
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_.insert_or_assign(p.tv, CacheEntry{std::move(view), std::move(deps)});
   return Status::OK();
-}
-
-void AccessLayer::RecordCacheLookupLocked(TvId tv, bool hit) {
-  // The single accounting point for view-cache lookups: ScanVersion and
-  // FindVersion used to bump the miss counters through duplicated code
-  // paths; routing both through LookupCache keeps the aggregate and
-  // per-version counters moving together on every path.
-  if (hit) {
-    cache_hits_.fetch_add(1, std::memory_order_relaxed);
-    ++cache_stats_[tv].hits;
-  } else {
-    cache_misses_.fetch_add(1, std::memory_order_relaxed);
-    ++cache_stats_[tv].misses;
-  }
-}
-
-void AccessLayer::EraseCacheEntryLocked(TvId tv) {
-  if (cache_.erase(tv) == 0) return;
-  cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
-  ++cache_stats_[tv].invalidations;
-}
-
-void AccessLayer::EraseCacheEntry(TvId tv) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  EraseCacheEntryLocked(tv);
-}
-
-void AccessLayer::InvalidateCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  for (const auto& [tv, entry] : cache_) {
-    (void)entry;
-    cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
-    ++cache_stats_[tv].invalidations;
-  }
-  cache_.clear();
-}
-
-void AccessLayer::ResetCacheStats() {
-  cache_hits_.store(0, std::memory_order_relaxed);
-  cache_misses_.store(0, std::memory_order_relaxed);
-  cache_invalidations_.store(0, std::memory_order_relaxed);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_stats_.clear();
-}
-
-Status AccessLayer::InvalidateForWrite(const plan::TvPlan& p) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_.empty()) return Status::OK();
-  }
-  INVERDA_ASSIGN_OR_RETURN(DepVec footprint_deps, FootprintDeps(p));
-  std::set<std::string> footprint;
-  for (const auto& [name, epoch] : footprint_deps) {
-    (void)epoch;
-    footprint.insert(name);
-  }
-  const std::set<TvId>& component = catalog_->ComponentOf(p.tv);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  std::vector<TvId> doomed;
-  for (const auto& [cached_tv, entry] : cache_) {
-    if (!component.count(cached_tv)) continue;  // disjoint lineage
-    if (cached_tv == p.tv) {
-      doomed.push_back(cached_tv);
-      continue;
-    }
-    for (const auto& [name, epoch] : entry.deps) {
-      (void)epoch;
-      if (footprint.count(name)) {
-        doomed.push_back(cached_tv);
-        break;
-      }
-    }
-  }
-  for (TvId dead : doomed) EraseCacheEntryLocked(dead);
-  return Status::OK();
-}
-
-void AccessLayer::InvalidateForMigration(const std::set<SmoId>& flipped) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_.empty()) return;
-  }
-  std::set<TvId> affected = catalog_->AffectedBySmos(flipped);
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  std::vector<TvId> doomed;
-  for (const auto& [tv, entry] : cache_) {
-    (void)entry;
-    if (affected.count(tv)) doomed.push_back(tv);
-  }
-  for (TvId dead : doomed) EraseCacheEntryLocked(dead);
 }
 
 // --- reads ------------------------------------------------------------------
@@ -421,62 +304,27 @@ Status AccessLayer::ScanVersion(TvId tv, const RowCallback& fn) {
     table->Scan(fn);
     return Status::OK();
   }
-  if (cache_enabled_) {
-    if (std::shared_ptr<const Table> cached = LookupCache(tv)) {
-      if (span) [[unlikely]] {
-        span->note = "view-cache hit";
-        span->rows_out = cached->size();
-      }
-      cached->Scan(fn);
-      return Status::OK();
-    }
-  }
-  if (batch_enabled_ && !cache_enabled_) {
+  const plan::PlanStep& step = p.steps.front();
+  if (batch_enabled_) {
     // Columnar derivation: the chain below runs through the kernels' batch
     // entry points and the result streams straight to the caller — no
-    // intermediate row-major table. (The view-cache path keeps the table
-    // form because that is what it memoizes.)
+    // intermediate row-major table.
     RowBatch batch;
-    const plan::PlanStep& step = p.steps.front();
-    if (hot == 0) [[likely]] {
-      INVERDA_RETURN_IF_ERROR(step.DeriveBatch(&batch));
-    } else {
-      obs::SpanGuard step_span(tracer, "derive");
-      if (step_span) FillStepSpan(step_span.get(), step);
-      KernelMetrics* km = nullptr;
-      if (timed) km = MetricsForKernel(step.kernel);
-      obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-      INVERDA_RETURN_IF_ERROR(step.DeriveBatch(&batch));
-      if (km != nullptr) km->derive_rows->Add(batch.selected_count());
-      if (step_span) step_span->rows_out = batch.selected_count();
-    }
+    INVERDA_RETURN_IF_ERROR(RunStep(
+        hot, StepCall::kDerive, step,
+        [&] { return step.DeriveBatch(&batch); },
+        [&] { return batch.selected_count(); }));
     if (span) [[unlikely]] span->rows_out = batch.selected_count();
     batch.ForEach(fn);
     return Status::OK();
   }
   Table tmp(*p.schema);
-  {
-    const plan::PlanStep& step = p.steps.front();
-    if (hot == 0) [[likely]] {
-      // Fast path: no guard objects at all when every gate is off —
-      // nested kernel recursion multiplies this block's entry cost.
-      INVERDA_RETURN_IF_ERROR(step.Derive(std::nullopt, &tmp));
-    } else {
-      obs::SpanGuard step_span(tracer, "derive");
-      if (step_span) FillStepSpan(step_span.get(), step);
-      KernelMetrics* km = nullptr;
-      if (timed) km = MetricsForKernel(step.kernel);
-      obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-      INVERDA_RETURN_IF_ERROR(step.Derive(std::nullopt, &tmp));
-      if (km != nullptr) km->derive_rows->Add(tmp.size());
-      if (step_span) step_span->rows_out = tmp.size();
-    }
-  }
+  INVERDA_RETURN_IF_ERROR(RunStep(
+      hot, StepCall::kDerive, step,
+      [&] { return step.Derive(std::nullopt, &tmp); },
+      [&] { return tmp.size(); }));
   if (span) [[unlikely]] span->rows_out = tmp.size();
   tmp.Scan(fn);
-  if (cache_enabled_) {
-    INVERDA_RETURN_IF_ERROR(StoreCache(p, std::move(tmp)));
-  }
   return Status::OK();
 }
 
@@ -511,27 +359,10 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
     }
     return BatchFromTable(*table, out);
   }
-  if (cache_enabled_) {
-    if (std::shared_ptr<const Table> cached = LookupCache(tv)) {
-      if (span) [[unlikely]] {
-        span->note = "view-cache hit";
-        span->rows_out = cached->size();
-      }
-      return BatchFromTable(*cached, out);
-    }
-  }
   const plan::PlanStep& step = p.steps.front();
-  if (hot == 0) [[likely]] {
-    return step.DeriveBatch(out);
-  }
-  obs::SpanGuard step_span(tracer, "derive");
-  if (step_span) FillStepSpan(step_span.get(), step);
-  KernelMetrics* km = nullptr;
-  if (timed) km = MetricsForKernel(step.kernel);
-  obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-  INVERDA_RETURN_IF_ERROR(step.DeriveBatch(out));
-  if (km != nullptr) km->derive_rows->Add(out->selected_count());
-  if (step_span) step_span->rows_out = out->selected_count();
+  INVERDA_RETURN_IF_ERROR(RunStep(
+      hot, StepCall::kDerive, step, [&] { return step.DeriveBatch(out); },
+      [&] { return out->selected_count(); }));
   if (span) [[unlikely]] span->rows_out = out->selected_count();
   return Status::OK();
 }
@@ -562,54 +393,11 @@ Result<std::optional<Row>> AccessLayer::FindVersion(TvId tv, int64_t key) {
     if (span) [[unlikely]] span->rows_out = 1;
     return std::optional<Row>(*row);
   }
-  if (cache_enabled_) {
-    if (std::shared_ptr<const Table> cached = LookupCache(tv)) {
-      if (span) [[unlikely]] span->note = "view-cache hit";
-      const Row* row = cached->Find(key);
-      if (row == nullptr) return std::optional<Row>();
-      if (span) [[unlikely]] span->rows_out = 1;
-      return std::optional<Row>(*row);
-    }
-    // Same accounting as ScanVersion's miss path: derive the full view
-    // once, store it, and answer this (and subsequent) lookups from it.
-    Table tmp(*p.schema);
-    {
-      const plan::PlanStep& step = p.steps.front();
-      if (hot == 0) [[likely]] {
-        INVERDA_RETURN_IF_ERROR(step.Derive(std::nullopt, &tmp));
-      } else {
-        obs::SpanGuard step_span(tracer, "derive");
-        if (step_span) FillStepSpan(step_span.get(), step);
-        KernelMetrics* km = nullptr;
-        if (timed) km = MetricsForKernel(step.kernel);
-        obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-        INVERDA_RETURN_IF_ERROR(step.Derive(std::nullopt, &tmp));
-        if (km != nullptr) km->derive_rows->Add(tmp.size());
-        if (step_span) step_span->rows_out = tmp.size();
-      }
-    }
-    std::optional<Row> found;
-    if (const Row* row = tmp.Find(key)) found = *row;
-    if (span) [[unlikely]] span->rows_out = found.has_value() ? 1 : 0;
-    INVERDA_RETURN_IF_ERROR(StoreCache(p, std::move(tmp)));
-    return found;
-  }
+  const plan::PlanStep& step = p.steps.front();
   Table tmp(*p.schema);
-  {
-    const plan::PlanStep& step = p.steps.front();
-    if (hot == 0) [[likely]] {
-      INVERDA_RETURN_IF_ERROR(step.Derive(key, &tmp));
-    } else {
-      obs::SpanGuard step_span(tracer, "derive");
-      if (step_span) FillStepSpan(step_span.get(), step);
-      KernelMetrics* km = nullptr;
-      if (timed) km = MetricsForKernel(step.kernel);
-      obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-      INVERDA_RETURN_IF_ERROR(step.Derive(key, &tmp));
-      if (km != nullptr) km->derive_rows->Add(tmp.size());
-      if (step_span) step_span->rows_out = tmp.size();
-    }
-  }
+  INVERDA_RETURN_IF_ERROR(RunStep(
+      hot, StepCall::kDerive, step, [&] { return step.Derive(key, &tmp); },
+      [&] { return tmp.size(); }));
   const Row* row = tmp.Find(key);
   if (row == nullptr) return std::optional<Row>();
   if (span) [[unlikely]] span->rows_out = 1;
@@ -639,12 +427,11 @@ Status AccessLayer::ApplyToVersion(TvId tv, const WriteSet& writes) {
 
 Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
   if (writes.empty()) return Status::OK();
-  const bool top_level = access_depth_ == 0;
   const uint32_t hot = obs_->hot();
   const bool timed = (hot & obs::Observability::kTimingBit) != 0;
   obs::Tracer* tracer =
       (hot & obs::Observability::kTracingBit) != 0 ? &obs_->tracer : nullptr;
-  obs::ScopedTimer op_timer(timed && top_level ? apply_ns_ : nullptr);
+  obs::ScopedTimer op_timer(timed && access_depth_ == 0 ? apply_ns_ : nullptr);
   obs::SpanGuard span(tracer, "apply");
   if (span) [[unlikely]] span->rows_in = static_cast<int64_t>(writes.ops.size());
   INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
@@ -653,15 +440,7 @@ Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
   TableLatchSet latches;
   AcquireLatches(&latches, p, /*write=*/true, timed);
   DepthGuard guard(&access_depth_);
-  if (top_level) {
-    last_trace_.Clear();
-    // Invalidate before the write lands: entries (re)stored by reads that
-    // happen mid-propagation capture the post-write epochs and stay valid.
-    if (cache_enabled_) INVERDA_RETURN_IF_ERROR(InvalidateForWrite(p));
-  }
-  last_trace_.AddVersion(tv);
   if (p.physical) {
-    last_trace_.AddTable(p.data_table);
     INVERDA_ASSIGN_OR_RETURN(Table * table, db_->GetTable(p.data_table));
     if (span) [[unlikely]] {
       span->route = "physical";
@@ -674,33 +453,9 @@ Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
     return Status::OK();
   }
   const plan::PlanStep& step = p.steps.front();
-  for (const auto& [aux, physical_name] : step.ctx.aux_names) {
-    (void)aux;
-    last_trace_.AddTable(physical_name);
-  }
-  if (step.is_fused()) {
-    // A fused step flattens the run's recursion, so the in-run versions and
-    // aux tables the per-hop propagation traverses are recorded here (the
-    // chain below the fusion boundary traces itself as usual).
-    for (size_t i = 0; i < step.fused.size(); ++i) {
-      const plan::PlanStep& sub = step.fused[i];
-      if (i + 1 < step.fused.size()) last_trace_.AddVersion(sub.next);
-      for (const auto& [aux, physical_name] : sub.ctx.aux_names) {
-        (void)aux;
-        last_trace_.AddTable(physical_name);
-      }
-    }
-  }
-  if (hot == 0) [[likely]] return step.Propagate(writes);
-  obs::SpanGuard step_span(tracer, "propagate");
-  if (step_span) {
-    FillStepSpan(step_span.get(), step);
-    step_span->rows_in = static_cast<int64_t>(writes.ops.size());
-  }
-  KernelMetrics* km = nullptr;
-  if (timed) km = MetricsForKernel(step.kernel);
-  obs::ScopedTimer kernel_timer(km != nullptr ? km->propagate_ns : nullptr);
-  return step.Propagate(writes);
+  return RunStep(
+      hot, StepCall::kPropagate, step, [&] { return step.Propagate(writes); },
+      [&] { return static_cast<int64_t>(writes.ops.size()); });
 }
 
 }  // namespace inverda

@@ -120,7 +120,6 @@ Status Inverda::DropSchemaVersion(const std::string& name) {
   // otherwise.
   std::unique_lock<std::shared_mutex> ddl(catalog_mu_);
   INVERDA_RETURN_IF_ERROR(CheckNoActiveMigration());
-  access_.InvalidateCache();
   INVERDA_ASSIGN_OR_RETURN(DropResult result, catalog_.DropVersion(name));
   // Physical cleanup: aux tables of removed SMO instances. Removed table
   // versions are never physical (the catalog refuses otherwise), but their

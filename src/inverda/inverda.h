@@ -48,13 +48,13 @@ class Inverda;
 /// suppresses nested acquisition). Catalog-shape changes never race with
 /// operations: the Inverda facade serializes DDL against all data access.
 /// The configuration setters (set_plan_cache_enabled, set_batch_enabled,
-/// set_fusion_enabled, set_verify_enabled, set_cache_enabled) are not
-/// thread-safe; configure before going concurrent.
+/// set_fusion_enabled, set_verify_enabled) are not thread-safe; configure
+/// before going concurrent.
 class AccessLayer : public AccessBackend {
  public:
   /// `obs` is the owning facade's observability bundle: the constructor
   /// caches counter/histogram pointers for the hot paths and registers the
-  /// plan cache, view cache and compiler as pull-sources of the registry.
+  /// plan cache and compiler as pull-sources of the registry.
   AccessLayer(VersionCatalog* catalog, Database* db, obs::Observability* obs);
 
   Status ScanVersion(TvId tv, const RowCallback& fn) override;
@@ -128,29 +128,6 @@ class AccessLayer : public AccessBackend {
   /// and other read-only consumers.
   const plan::PlanCompiler& compiler() const { return compiler_; }
 
-  /// Optional derived-view cache — the paper's future-work item (4),
-  /// "optimized delta code": full scans of virtual table versions are
-  /// memoized together with a dependency fingerprint (the name and dirty
-  /// epoch of every physical table the derivation can read). Entries
-  /// validate in O(path length) against the current epochs, writes
-  /// invalidate only the entries whose derivation path shares a physical
-  /// table with the write's propagation chain, and migrations invalidate
-  /// only the versions whose access path passes through a flipped SMO
-  /// instance (via the catalog's reachability index). Off by default (the
-  /// paper's prototype recomputes views per query, which is what the
-  /// figures measure); see bench/ablation_view_cache.
-  void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
-  bool cache_enabled() const { return cache_enabled_; }
-
-  /// Drops all cached derived views (schema drops and explicit resets).
-  void InvalidateCache();
-
-  /// Genealogy-scoped invalidation after the materialization state of the
-  /// `flipped` SMO instances changed: drops exactly the cached versions
-  /// whose access path can pass through one of them. Called by the
-  /// migration operation.
-  void InvalidateForMigration(const std::set<SmoId>& flipped);
-
   /// Migration write capture (docs/migration.md): when an observer is
   /// installed — always under the facade's exclusive DDL lock — every
   /// top-level ApplyToVersion reports its write set after the data landed,
@@ -168,23 +145,6 @@ class AccessLayer : public AccessBackend {
   /// epoch's plans serve until the flip, and the first post-flip access of
   /// each version hits a warm cache. Returns the first compile error.
   Status PrewarmPlans();
-
-  /// Per-table-version cache statistics (returned by value: a snapshot).
-  struct VersionCacheStats {
-    int64_t hits = 0;
-    int64_t misses = 0;
-    int64_t invalidations = 0;
-  };
-  std::map<TvId, VersionCacheStats> cache_stats() const {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    return cache_stats_;
-  }
-
-  /// The trace of the calling thread's most recent top-level write
-  /// propagation: the table versions it traversed and the physical tables
-  /// it may have touched. Thread-local, so concurrent clients never see
-  /// each other's traces.
-  const WriteTrace& last_write_trace() const { return last_trace_; }
 
   /// Per-table-version operation counters — the advisor's lifetime
   /// workload signal: top-level reads (scan/find) and writes (apply) per
@@ -220,60 +180,6 @@ class AccessLayer : public AccessBackend {
   void AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
                       bool write, bool timed);
 
-  /// Dependency fingerprint: physical table name -> dirty epoch at
-  /// derivation time (aliased because commas in template ids break the
-  /// ASSIGN_OR_RETURN macro).
-  using DepVec = std::vector<std::pair<std::string, uint64_t>>;
-
-  /// The plan's footprint stamped with the current dirty epochs (compiling
-  /// the full footprint on demand when handed a shallow plan).
-  Result<DepVec> FootprintDeps(const plan::TvPlan& p);
-
-  /// One memoized derived view plus its dependency fingerprint: the name
-  /// and dirty epoch of every physical table (data and auxiliary) the
-  /// derivation can read under the materialization it was built in. The
-  /// entry is valid iff every epoch still matches. The view is shared so a
-  /// returned table survives a concurrent eviction.
-  struct CacheEntry {
-    std::shared_ptr<const Table> table;
-    DepVec deps;
-  };
-
-  /// Validated lookup: returns the cached view of `tv` if its fingerprint
-  /// still matches, dropping the entry (and counting an invalidation)
-  /// otherwise. Every lookup is accounted as exactly one hit or one miss
-  /// through RecordCacheLookupLocked — the single accounting point for the
-  /// aggregate and per-version counters.
-  std::shared_ptr<const Table> LookupCache(TvId tv);
-  Status StoreCache(const plan::TvPlan& p, Table table);
-  void RecordCacheLookupLocked(TvId tv, bool hit);  // requires cache_mu_
-
-  /// Eager scoped invalidation before a write propagates along plan `p`:
-  /// drops the entries whose fingerprint intersects the write's possible
-  /// footprint, using the genealogy component as a cheap pre-filter.
-  Status InvalidateForWrite(const plan::TvPlan& p);
-  void EraseCacheEntry(TvId tv);
-  void EraseCacheEntryLocked(TvId tv);  // requires cache_mu_ held
-
-  /// Internal accounting behind the registry's view_cache pull-source and
-  /// its reset hook. The public surface is Inverda::Metrics() /
-  /// Inverda::ResetMetrics() (docs/observability.md); the per-PR-5
-  /// deprecated public shims are gone.
-  void ResetCacheStats();
-  int64_t cache_hits() const {
-    return cache_hits_.load(std::memory_order_relaxed);
-  }
-  int64_t cache_misses() const {
-    return cache_misses_.load(std::memory_order_relaxed);
-  }
-  int64_t cache_invalidations() const {
-    return cache_invalidations_.load(std::memory_order_relaxed);
-  }
-  int64_t cache_size() const {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    return static_cast<int64_t>(cache_.size());
-  }
-
   /// Per-kernel latency/row metrics, resolved from the kernel's stable
   /// singleton pointer through a small lock-free slot array (the mutex is
   /// only taken once per distinct kernel, to register it). Returns nullptr
@@ -284,6 +190,17 @@ class AccessLayer : public AccessBackend {
     obs::Counter* derive_rows = nullptr;
   };
   KernelMetrics* MetricsForKernel(const Kernel* kernel);
+
+  enum class StepCall { kDerive, kPropagate };
+
+  /// Runs one plan step's kernel call (`call`: the step's Derive,
+  /// DeriveBatch or Propagate) under its "derive"/"propagate" span and its
+  /// per-kernel timer. `rows` counts the rows a derivation produced or a
+  /// propagation received. With every gate off (`hot == 0`) the call runs
+  /// bare, with no guard objects.
+  template <typename Call, typename Rows>
+  Status RunStep(uint32_t hot, StepCall kind, const plan::PlanStep& step,
+                 const Call& call, const Rows& rows);
 
   VersionCatalog* catalog_;
   Database* db_;
@@ -327,22 +244,12 @@ class AccessLayer : public AccessBackend {
   bool plan_cache_enabled_ = true;
   bool batch_enabled_ = true;
 
-  bool cache_enabled_ = false;
-  // Guards cache_ and cache_stats_. Never held while deriving or latching;
-  // FootprintDeps runs before the lock is taken.
-  mutable std::mutex cache_mu_;
-  std::map<TvId, CacheEntry> cache_;
-  std::map<TvId, VersionCacheStats> cache_stats_;
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> cache_misses_{0};
-  std::atomic<int64_t> cache_invalidations_{0};
   // Migration write-capture sink; null outside an active migration.
   std::atomic<migrate::WriteObserver*> write_observer_{nullptr};
   // Recursion depth of the calling thread across ScanVersion / FindVersion
-  // / ApplyToVersion: latches are taken and the write trace collected only
-  // at the top level of an access chain.
+  // / ApplyToVersion: latches are taken only at the top level of an access
+  // chain.
   static thread_local int access_depth_;
-  static thread_local WriteTrace last_trace_;
 };
 
 /// One materialization request — the single argument of Materialize.
@@ -507,16 +414,16 @@ class Inverda {
   // --- observability ---------------------------------------------------------
 
   /// The unified stats surface (docs/observability.md): every component's
-  /// counters and latency histograms — plan cache, view cache, compiler,
-  /// latches, per-kernel timings, migrations, tracer — in one registry.
+  /// counters and latency histograms — plan cache, compiler, latches,
+  /// per-kernel timings, migrations, tracer — in one registry.
   /// Safe to snapshot concurrently with client traffic.
   obs::MetricsRegistry& Metrics() { return obs_.metrics; }
   const obs::MetricsRegistry& Metrics() const { return obs_.metrics; }
 
   /// The single reset point: zeroes every push metric and invokes every
-  /// component's reset hook (plan-cache stats, view-cache stats).
+  /// component's reset hook (plan-cache stats, the access profile).
   /// Monotonic sources (compiler walk counters, trace.completed) keep
-  /// their values. Replaces ResetPlanStats() + ResetCacheStats().
+  /// their values.
   void ResetMetrics() { obs_.metrics.Reset(); }
 
   /// Per-operation access tracing (TRACE ON|OFF|LAST in the shell). Off by

@@ -17,8 +17,7 @@
 
 namespace inverda {
 
-// TvId lives in mapping/write_set.h (included above) so WriteTrace can
-// refer to it.
+// TvId lives in mapping/write_set.h (included above).
 
 /// Callback receiving one keyed row during a scan.
 using RowCallback = std::function<void(int64_t, const Row&)>;
@@ -186,15 +185,6 @@ class Kernel {
   /// ctx.backend->ApplyToVersion.
   virtual Status Propagate(const SmoContext& ctx, SmoSide side, int which,
                            const WriteSet& writes) const = 0;
-
-  /// Batch write entry point: propagates a whole WriteSet one hop toward
-  /// the data side. The default delegates to Propagate (which already
-  /// receives the full set); kernels that can transform the set
-  /// column-wise override it.
-  virtual Status PropagateWriteBatch(const SmoContext& ctx, SmoSide side,
-                                     int which, const WriteSet& writes) const {
-    return Propagate(ctx, side, which, writes);
-  }
 };
 
 /// The kernel implementing `kind`, or an error for catalog-only SMOs that

@@ -23,43 +23,4 @@ std::string WriteSet::ToString() const {
   return out;
 }
 
-void WriteTrace::Clear() {
-  versions.clear();
-  physical_tables.clear();
-}
-
-void WriteTrace::AddVersion(TvId tv) {
-  for (TvId seen : versions) {
-    if (seen == tv) return;
-  }
-  versions.push_back(tv);
-}
-
-void WriteTrace::AddTable(const std::string& name) {
-  if (TouchesTable(name)) return;
-  physical_tables.push_back(name);
-}
-
-bool WriteTrace::TouchesTable(const std::string& name) const {
-  for (const std::string& seen : physical_tables) {
-    if (seen == name) return true;
-  }
-  return false;
-}
-
-std::string WriteTrace::ToString() const {
-  std::string out = "versions [";
-  for (size_t i = 0; i < versions.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += std::to_string(versions[i]);
-  }
-  out += "] tables [";
-  for (size_t i = 0; i < physical_tables.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += physical_tables[i];
-  }
-  out += "]";
-  return out;
-}
-
 }  // namespace inverda

@@ -43,22 +43,6 @@ struct WriteSet {
   std::string ToString() const;
 };
 
-/// Report of one top-level write propagation through the access layer: the
-/// table versions the write traversed on its way to physical storage and
-/// the physical tables (data tables of the landing sites plus auxiliary
-/// tables of the traversed SMO instances) it may have touched. This is the
-/// write-set the genealogy-scoped view-cache invalidation keys off.
-struct WriteTrace {
-  std::vector<TvId> versions;
-  std::vector<std::string> physical_tables;
-
-  void Clear();
-  void AddVersion(TvId tv);
-  void AddTable(const std::string& name);
-  bool TouchesTable(const std::string& name) const;
-  std::string ToString() const;
-};
-
 }  // namespace inverda
 
 #endif  // INVERDA_MAPPING_WRITE_SET_H_

@@ -551,13 +551,11 @@ Status MigrationCoordinator::CommitLocked(Job* job) {
   // Apply: after the checks, neither call below can fail.
   for (const std::string& name : stale) (void)db.DropTable(name);
   for (const auto& ep : job->entries) (void)db.AddTable(std::move(ep->content));
-  // Flip the bits, bump the epoch, refresh caches.
+  // Flip the bits, bump the epoch, refresh the plan cache.
   for (SmoId id : job->flipping) {
     catalog.mutable_smo(id).materialized = job->target_m.count(id) > 0;
   }
   if (!job->flipping.empty()) catalog.BumpMaterializationEpoch();
-  owner_->access_.InvalidateForMigration(
-      std::set<SmoId>(job->flipping.begin(), job->flipping.end()));
   // Dual-plan epoch window: while still exclusive, compile every live
   // version's plan under the new epoch so the first post-flip access of
   // each version hits a warm cache instead of paying a compile in its read

@@ -141,7 +141,7 @@ struct MetricsSnapshot {
 ///  - push metrics: counter()/histogram() hand out stable pointers that
 ///    components cache once and bump lock-free on the hot path;
 ///  - pull sources: components that already keep their own (relaxed-atomic)
-///    counters — the plan cache, the view cache, the plan compiler —
+///    counters — the plan cache, the plan compiler, the access profile —
 ///    register a snapshot callback and an optional reset callback, so their
 ///    numbers appear in the same snapshot without double bookkeeping (and
 ///    therefore cannot drift from the component's own view).

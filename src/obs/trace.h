@@ -44,7 +44,7 @@ struct TraceSpan {
   int fused = 0;
   std::vector<std::pair<std::string, std::string>> fused_hops;
 
-  std::string note;  // free-form marker, e.g. "view-cache hit"
+  std::string note;  // free-form marker, e.g. "data table d1_Task"
 
   int64_t rows_in = 0;   // writes carried into this span
   int64_t rows_out = 0;  // rows produced by this span

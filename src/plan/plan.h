@@ -111,8 +111,8 @@ struct TvPlan {
   std::string data_table;
 
   /// Every physical table (data and auxiliary) any access path of the
-  /// version can touch, in deterministic discovery order. The view cache
-  /// stamps these with dirty epochs at store time.
+  /// version can touch, in deterministic discovery order: the latch set a
+  /// top-level operation on the version acquires.
   std::vector<std::string> footprint;
 
   /// Every SMO instance on any access path of the version (the closure the
@@ -128,12 +128,6 @@ struct TvPlan {
     return hops;
   }
 };
-
-/// Reads and writes execute the same compiled chain (a read derives
-/// through the first step, a write propagates through it); the aliases
-/// keep the paper's vocabulary of generated read views vs. write triggers.
-using ReadPlan = TvPlan;
-using WritePlan = TvPlan;
 
 /// Counters of the plan cache (a coherent snapshot; see PlanCache::stats).
 /// `route_walks`/`context_builds` only grow while compiling: zero growth

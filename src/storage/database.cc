@@ -34,12 +34,6 @@ Result<const Table*> Database::GetTableConst(const std::string& name) const {
   return &it->second;
 }
 
-std::optional<uint64_t> Database::TableEpoch(const std::string& name) const {
-  auto it = tables_.find(name);
-  if (it == tables_.end()) return std::nullopt;
-  return it->second.epoch();
-}
-
 Status Database::RenameTable(const std::string& from, const std::string& to) {
   auto it = tables_.find(from);
   if (it == tables_.end()) return Status::NotFound("table " + from);

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -52,11 +51,6 @@ class Database {
   /// Mutable/immutable access to a physical table.
   Result<Table*> GetTable(const std::string& name);
   Result<const Table*> GetTableConst(const std::string& name) const;
-
-  /// The dirty epoch of physical table `name`, or nullopt when the table
-  /// does not exist. The derived-view cache validates its entries against
-  /// these stamps.
-  std::optional<uint64_t> TableEpoch(const std::string& name) const;
 
   /// Renames a physical table.
   Status RenameTable(const std::string& from, const std::string& to);

@@ -1,14 +1,8 @@
 #include "storage/table.h"
 
 #include <algorithm>
-#include <atomic>
 
 namespace inverda {
-
-uint64_t Table::NextEpoch() {
-  static std::atomic<uint64_t> counter{0};
-  return ++counter;
-}
 
 Status Table::CheckWidth(const Row& row) const {
   if (static_cast<int>(row.size()) == schema_.num_columns()) {
@@ -39,7 +33,6 @@ Status Table::Insert(int64_t key, Row row) {
                                        " in " + schema_.name());
   }
   IndexKey(key);
-  Touch();
   return Status::OK();
 }
 
@@ -51,14 +44,12 @@ Status Table::Update(int64_t key, Row row) {
                             schema_.name());
   }
   it->second = std::move(row);
-  Touch();
   return Status::OK();
 }
 
 Status Table::Upsert(int64_t key, Row row) {
   INVERDA_RETURN_IF_ERROR(CheckWidth(row));
   if (rows_.insert_or_assign(key, std::move(row)).second) IndexKey(key);
-  Touch();
   return Status::OK();
 }
 
@@ -66,14 +57,12 @@ bool Table::Erase(int64_t key) {
   if (rows_.erase(key) == 0) return false;
   auto it = std::lower_bound(order_.begin(), order_.end(), key);
   if (it != order_.end() && *it == key) order_.erase(it);
-  Touch();
   return true;
 }
 
 void Table::Clear() {
   rows_.clear();
   order_.clear();
-  Touch();
 }
 
 void Table::Scan(const std::function<void(int64_t, const Row&)>& fn) const {

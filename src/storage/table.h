@@ -1,7 +1,6 @@
 #ifndef INVERDA_STORAGE_TABLE_H_
 #define INVERDA_STORAGE_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -29,48 +28,8 @@ class Table {
  public:
   explicit Table(TableSchema schema) : schema_(std::move(schema)) {}
 
-  // Value semantics over the atomic epoch stamp: copies share their
-  // original's stamp (identical content), moves carry it along. Loads are
-  // acquire and stores release, pairing with the latch-free validation
-  // reads of epoch().
-  Table(const Table& other)
-      : schema_(other.schema_),
-        rows_(other.rows_),
-        order_(other.order_),
-        epoch_(other.epoch()) {}
-  Table& operator=(const Table& other) {
-    schema_ = other.schema_;
-    rows_ = other.rows_;
-    order_ = other.order_;
-    epoch_.store(other.epoch(), std::memory_order_release);
-    return *this;
-  }
-  Table(Table&& other) noexcept
-      : schema_(std::move(other.schema_)),
-        rows_(std::move(other.rows_)),
-        order_(std::move(other.order_)),
-        epoch_(other.epoch()) {}
-  Table& operator=(Table&& other) noexcept {
-    schema_ = std::move(other.schema_);
-    rows_ = std::move(other.rows_);
-    order_ = std::move(other.order_);
-    epoch_.store(other.epoch(), std::memory_order_release);
-    return *this;
-  }
-
   const TableSchema& schema() const { return schema_; }
-  void set_schema(TableSchema schema) {
-    schema_ = std::move(schema);
-    Touch();
-  }
-
-  /// Dirty epoch: a process-wide monotonic stamp renewed by every mutation
-  /// (and at construction, so a dropped-and-recreated table never reuses a
-  /// stamp). Copies share their original's epoch — the content is
-  /// identical. The derived-view cache validates entries in O(1) per
-  /// dependency by comparing stored stamps against current ones. The stamp
-  /// is atomic so validation may read it without holding the table's latch.
-  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  void set_schema(TableSchema schema) { schema_ = std::move(schema); }
 
   int64_t size() const { return static_cast<int64_t>(rows_.size()); }
   bool empty() const { return rows_.empty(); }
@@ -115,10 +74,6 @@ class Table {
   /// Adds a freshly inserted key to the ascending index.
   void IndexKey(int64_t key);
 
-  /// Draws the next process-wide epoch stamp.
-  static uint64_t NextEpoch();
-  void Touch() { epoch_.store(NextEpoch(), std::memory_order_release); }
-
   TableSchema schema_;
   std::unordered_map<int64_t, Row> rows_;
   // The ascending key index, maintained incrementally by every key-set
@@ -129,7 +84,6 @@ class Table {
   // sorted insert is an O(1) append in the common case. The index is only
   // written under the same exclusive table latch as the map it mirrors.
   std::vector<int64_t> order_;
-  std::atomic<uint64_t> epoch_{NextEpoch()};
 };
 
 }  // namespace inverda

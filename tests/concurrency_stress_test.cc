@@ -131,7 +131,6 @@ TEST(ConcurrencyStressTest, ReadersSurviveVersionChurnAndDrops) {
   for (int i = 0; i < 30; ++i) {
     testutil::RandomInsert(&db, &rng, builder.versions());
   }
-  db.access().set_cache_enabled(true);  // stress the view cache too
 
   // The DBA churns a throwaway branch: evolve it off the root, then drop
   // it again — structure-epoch bumps and physical-table cleanup racing

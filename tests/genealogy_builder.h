@@ -4,8 +4,8 @@
 // Shared machinery for property tests over *random genealogies*: a builder
 // that grows a random chain of schema versions with randomly chosen SMOs,
 // plus snapshot/diff helpers over every version's view. Used by
-// random_genealogy_test (bidirectionality under materialization) and
-// view_cache_test (cache staleness under random writes and migrations).
+// random_genealogy_test (bidirectionality under materialization) and by
+// the plan, verifier, migration, advisor and concurrency suites.
 
 #include <gtest/gtest.h>
 

@@ -137,7 +137,6 @@ TEST(MetricsFacadeTest, ConsolidatesComponentStatsBehindOneRegistry) {
                   .ok());
   ASSERT_TRUE(
       db.Insert("V0", "tab", {Value::Int(1), Value::String("r")}).ok());
-  db.access().set_cache_enabled(true);
   // Latency histograms record only under the detailed-timing gate.
   db.Metrics().set_timing_enabled(true);
   ASSERT_TRUE(db.Select("V1", "tab").ok());
@@ -145,14 +144,12 @@ TEST(MetricsFacadeTest, ConsolidatesComponentStatsBehindOneRegistry) {
 
   obs::MetricsSnapshot snap = db.Metrics().Snapshot();
   // The registry's pull-sources read the components' own atomics, so the
-  // numbers reflect the workload exactly: two selects with the view cache
-  // on are one derivation miss (which caches) plus one hit.
-  EXPECT_EQ(snap.value("view_cache.misses"), 1);
-  EXPECT_EQ(snap.value("view_cache.hits"), 1);
-  EXPECT_EQ(snap.value("view_cache.size"), 1);
-  EXPECT_GT(snap.value("plan_cache.compiles"), 0);
-  EXPECT_GT(snap.value("plan_cache.size"), 0);
-  EXPECT_GE(snap.value("plan_cache.hits"), 0);
+  // numbers reflect the workload exactly: the insert compiles V0's plan,
+  // the first select compiles V1's, and every later resolution hits — the
+  // second select of V1 and both derivations' scans of V0.
+  EXPECT_EQ(snap.value("plan_cache.compiles"), 2);
+  EXPECT_EQ(snap.value("plan_cache.size"), 2);
+  EXPECT_EQ(snap.value("plan_cache.hits"), 3);
   // The verify gate's rejection counter is registered even while the gate
   // is off (and must be zero: nothing was rejected).
   EXPECT_EQ(snap.value("plan_verify.fusion_rejected"), 0);
@@ -167,15 +164,17 @@ TEST(MetricsFacadeTest, ConsolidatesComponentStatsBehindOneRegistry) {
   const int64_t walks = snap.value("plan_compiler.route_walks");
   EXPECT_GT(walks, 0);
   db.ResetMetrics();
-  EXPECT_EQ(db.Metrics().value("view_cache.hits"), 0);
+  EXPECT_EQ(db.Metrics().value("plan_cache.hits"), 0);
   EXPECT_EQ(db.Metrics().value("plan_cache.compiles"), 0);
   // ...except the compiler's walk counters, which are monotonic by
   // contract (the plan cache diffs them around compiles), so their source
   // registers no reset hook.
   EXPECT_EQ(db.Metrics().value("plan_compiler.route_walks"), walks);
-  // Cached entries survive the reset and keep serving hits from zero.
+  // Cached plans survive the reset and keep serving hits from zero.
+  EXPECT_EQ(db.Metrics().value("plan_cache.size"), 2);
   ASSERT_TRUE(db.Select("V1", "tab").ok());
-  EXPECT_EQ(db.Metrics().value("view_cache.hits"), 1);
+  EXPECT_EQ(db.Metrics().value("plan_cache.hits"), 2);
+  EXPECT_EQ(db.Metrics().value("plan_cache.compiles"), 0);
 }
 
 }  // namespace

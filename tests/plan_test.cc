@@ -1,7 +1,6 @@
 // Unit tests for the compiled access-plan layer (src/plan): plan shape on
 // the Tasky genealogy, distance = step count, materialization-epoch
-// invalidation, the zero-catalog-walks-on-hit guarantee, and the unified
-// view-cache accounting of ScanVersion and FindVersion.
+// invalidation, and the zero-catalog-walks-on-hit guarantee.
 
 #include <gtest/gtest.h>
 
@@ -139,44 +138,6 @@ TEST_F(PlanTest, PlanCacheToggleKeepsResults) {
     EXPECT_EQ(cached[i].key, fresh[i].key);
     EXPECT_TRUE(RowsEqual(cached[i].row, fresh[i].row));
   }
-}
-
-// Satellite: FindVersion used to neither count a miss nor store on the
-// view-cache miss path, unlike ScanVersion. Both now go through the single
-// accounting point (RecordCacheLookupLocked), so hit/miss/store counts are
-// identical whichever entry touches the cache first.
-TEST_F(PlanTest, FindAndScanShareViewCacheAccounting) {
-  Result<int64_t> key = db_.Insert(
-      "TasKy", "Task",
-      {Value::String("Cleo"), Value::String("call"), Value::Int(2)});
-  ASSERT_TRUE(key.ok());
-  db_.access().set_cache_enabled(true);
-  db_.ResetMetrics();
-
-  // A point lookup on a virtual version misses once and stores the view.
-  ASSERT_TRUE(db_.Get("TasKy2", "Task", *key)->has_value());
-  EXPECT_EQ(db_.Metrics().value("view_cache.misses"), 1);
-  EXPECT_EQ(db_.Metrics().value("view_cache.size"), 1);
-  // Both a second lookup and a full scan now hit the stored entry.
-  ASSERT_TRUE(db_.Get("TasKy2", "Task", *key)->has_value());
-  EXPECT_EQ(db_.Metrics().value("view_cache.hits"), 1);
-  ASSERT_TRUE(db_.Select("TasKy2", "Task").ok());
-  EXPECT_EQ(db_.Metrics().value("view_cache.hits"), 2);
-  EXPECT_EQ(db_.Metrics().value("view_cache.misses"), 1);
-
-  // Symmetric: scan first, then lookups hit.
-  db_.access().InvalidateCache();
-  db_.ResetMetrics();
-  ASSERT_TRUE(db_.Select("TasKy2", "Task").ok());
-  EXPECT_EQ(db_.Metrics().value("view_cache.misses"), 1);
-  ASSERT_TRUE(db_.Get("TasKy2", "Task", *key)->has_value());
-  EXPECT_EQ(db_.Metrics().value("view_cache.hits"), 1);
-  EXPECT_EQ(db_.Metrics().value("view_cache.misses"), 1);
-
-  // Physical versions bypass the view cache entirely, in both entries.
-  ASSERT_TRUE(db_.Get("TasKy", "Task", *key)->has_value());
-  ASSERT_TRUE(db_.Select("TasKy", "Task").ok());
-  EXPECT_EQ(db_.Metrics().value("view_cache.misses"), 1);
 }
 
 }  // namespace

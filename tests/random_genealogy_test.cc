@@ -16,7 +16,7 @@ namespace {
 // versions, then walk through several valid materialization schemas and
 // assert that no version's view ever changes — the global form of the
 // bidirectionality guarantee. The builder and snapshot helpers live in
-// genealogy_builder.h, shared with the view-cache staleness test.
+// genealogy_builder.h, shared with the other random-genealogy suites.
 
 class RandomGenealogyTest : public ::testing::TestWithParam<uint64_t> {};
 

@@ -79,6 +79,54 @@ TEST(TableTest, ContentEquals) {
   EXPECT_FALSE(a.ContentEquals(b));
 }
 
+// Copies and moves are the compiler-generated members: each result keeps
+// the rows and the ascending key index, and a copy is independent of its
+// original.
+TEST(TableTest, CopyAndMoveKeepRowsAndKeyOrder) {
+  Table original(TwoCol());
+  for (int64_t k : {5, 2, 9, 1, 7}) {
+    ASSERT_TRUE(original.Insert(k, {Value::Int(k), Value::String("v")}).ok());
+  }
+  ASSERT_TRUE(original.Erase(9));
+  auto expect_rows = [](const Table& t, const std::vector<int64_t>& keys,
+                        const char* what) {
+    SCOPED_TRACE(what);
+    EXPECT_EQ(t.schema().name(), "t");
+    EXPECT_EQ(t.Keys(), keys);
+    std::vector<KeyedRow> rows = t.Rows();
+    ASSERT_EQ(rows.size(), keys.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].key, keys[i]);
+      EXPECT_EQ(rows[i].row[0], Value::Int(keys[i]));
+    }
+  };
+  const std::vector<int64_t> keys{1, 2, 5, 7};
+  const TableSchema other("other", {{"x", DataType::kInt64}});
+
+  Table copied(original);
+  expect_rows(copied, keys, "copy-constructed");
+  Table assigned(other);
+  assigned = original;
+  expect_rows(assigned, keys, "copy-assigned");
+
+  // Writes to the copies leave the original's rows and key order alone.
+  ASSERT_TRUE(copied.Insert(3, {Value::Int(3), Value::String("c")}).ok());
+  ASSERT_TRUE(copied.Update(5, {Value::Int(5), Value::String("c")}).ok());
+  ASSERT_TRUE(assigned.Erase(2));
+  expect_rows(copied, {1, 2, 3, 5, 7}, "copy after writes");
+  expect_rows(assigned, {1, 5, 7}, "assigned copy after writes");
+  expect_rows(original, keys, "original after writes to its copies");
+  EXPECT_EQ((*original.Find(5))[1], Value::String("v"));
+
+  Table moved(std::move(copied));
+  expect_rows(moved, {1, 2, 3, 5, 7}, "move-constructed");
+  Table move_assigned(other);
+  move_assigned = std::move(moved);
+  expect_rows(move_assigned, {1, 2, 3, 5, 7}, "move-assigned");
+  ASSERT_TRUE(move_assigned.Insert(4, {Value::Int(4), Value::String("m")}).ok());
+  expect_rows(move_assigned, {1, 2, 3, 4, 5, 7}, "moved table after insert");
+}
+
 TEST(DatabaseTest, CreateDropRename) {
   Database db;
   ASSERT_TRUE(db.CreateTable(TwoCol()).ok());

@@ -38,7 +38,6 @@ TEST(TraceRaceTest, TogglesWhileClientsReadAndWrite) {
     ASSERT_TRUE(
         db.Insert("S0", "tab", {Value::Int(i), Value::String("r")}).ok());
   }
-  db.access().set_cache_enabled(true);
   db.tracer().set_capacity(8);
 
   constexpr int kThreads = 4;

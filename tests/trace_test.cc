@@ -43,9 +43,6 @@ class TraceTest : public ::testing::Test {
                            {Value::String("Ann"), Value::String("Paper"),
                             Value::Int(1)})
                     .ok());
-    // Every scan must really derive (a view-cache hit records a note
-    // instead of the derive chain).
-    db_.access().set_cache_enabled(false);
   }
 
   // The most recent trace, asserted to exist.
