@@ -70,7 +70,7 @@ int main() {
   // Kernel fusion on the worst cell of the matrix: the far query (the
   // 171st version under the 1st version's materialization) traverses the
   // longest chain, so it gains the most from collapsing projection-only
-  // runs into fused steps and scanning columnar (plan/fused.h).
+  // runs into fused steps (plan/fused.h).
   CheckOk(db.Materialize(MaterializeRequest::Targets({scenario.versions[0]})), "materialize");
   const std::string& far_version = scenario.versions[170];
   const std::string& far_table = scenario.page_table[170];
@@ -78,11 +78,9 @@ int main() {
     CheckOk(db.Select(far_version, far_table), "far query");
   };
   db.access().set_fusion_enabled(false);
-  db.access().set_batch_enabled(false);
   far_query();  // warm
   double unfused_ms = TimeMs(3, far_query);
   db.access().set_fusion_enabled(true);
-  db.access().set_batch_enabled(true);
   far_query();  // recompile fused plans
   double fused_ms = TimeMs(3, far_query);
   std::printf("\nfusion on the far query (%s under %s materialization): "

@@ -159,9 +159,6 @@ int main(int argc, char** argv) {
 
   inverda::Inverda db;
   std::vector<std::string> versions = BuildDb(&db);
-  // Reads traverse the chain in parallel, so the measurement covers the
-  // per-table latches and the plan-cache hot path.
-  db.access().set_plan_cache_enabled(true);
 
   PrintHeader("microbench_concurrency: multi-version read scaling");
   std::printf("hardware threads: %u, ops/client: %d\n\n", hw, ops);

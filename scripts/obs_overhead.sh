@@ -11,7 +11,9 @@
 # cpu time across all rounds is compared: the interleaving cancels slow
 # machine drift (thermal, noisy neighbours) that would otherwise hit one
 # binary's whole run, and min-of-N is the most noise-robust point
-# estimate on shared runners.
+# estimate on shared runners. When `taskset` is available every run of
+# both binaries is pinned to the same single CPU (the last one this shell
+# may use), so neither binary gains from migrating to an idle core.
 #
 # Two limits: the MEAN overhead across the hot benchmarks must stay under
 # INVERDA_OBS_OVERHEAD_PCT (default 2) — single-benchmark min-of-N still
@@ -24,30 +26,42 @@
 # Usage: scripts/obs_overhead.sh [benchmark-filter-regex]
 # Env:   INVERDA_OBS_OVERHEAD_PCT      mean overhead limit in percent (default 2)
 #        INVERDA_OBS_OVERHEAD_MAX_PCT  per-benchmark limit in percent (default 5)
-#        INVERDA_OBS_OVERHEAD_REPS     repetitions per round (default 3)
-#        INVERDA_OBS_OVERHEAD_ROUNDS   interleaved rounds (default 5)
+#        INVERDA_OBS_OVERHEAD_REPS     repetitions per round (default 5)
+#        INVERDA_OBS_OVERHEAD_ROUNDS   interleaved rounds (default 10)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 FILTER="${1:-BM_PointGet|BM_Insert}"
 THRESHOLD="${INVERDA_OBS_OVERHEAD_PCT:-2}"
 MAX_ONE="${INVERDA_OBS_OVERHEAD_MAX_PCT:-5}"
-REPS="${INVERDA_OBS_OVERHEAD_REPS:-3}"
-ROUNDS="${INVERDA_OBS_OVERHEAD_ROUNDS:-5}"
+REPS="${INVERDA_OBS_OVERHEAD_REPS:-5}"
+ROUNDS="${INVERDA_OBS_OVERHEAD_ROUNDS:-10}"
 
-GENERATOR=()
-command -v ninja >/dev/null 2>&1 && GENERATOR=(-G Ninja)
+PIN=()
+if command -v taskset >/dev/null 2>&1; then
+  # Last CPU of this shell's affinity list ("0-3" or "0,2,5-7" -> 3 / 7).
+  CPU=$(taskset -pc $$ | sed 's/.*: //' | tr ',' '\n' | tail -n 1 |
+        sed 's/.*-//')
+  PIN=(taskset -c "$CPU")
+fi
 
 build_tree() {  # <dir> <extra cmake args...>
   local dir="$1"
   shift
-  cmake -B "$dir" -S . "${GENERATOR[@]}" -DCMAKE_BUILD_TYPE=Release "$@" \
+  # Ninja only for a tree that is not configured yet: CMake refuses to
+  # switch the generator of an existing tree (as in scripts/check.sh).
+  local generator=()
+  if [[ ! -f "$dir/CMakeCache.txt" ]] && command -v ninja >/dev/null 2>&1; then
+    generator=(-G Ninja)
+  fi
+  cmake -B "$dir" -S . "${generator[@]}" -DCMAKE_BUILD_TYPE=Release "$@" \
     > /dev/null
-  cmake --build "$dir" -j --target microbench_ops > /dev/null
+  # One job per core: a bare -j lets make start an unbounded number.
+  cmake --build "$dir" -j "$(nproc)" --target microbench_ops > /dev/null
 }
 
 run_csv() {  # <build dir> -> raw benchmark CSV lines
-  "$1"/bench/microbench_ops \
+  "${PIN[@]}" "$1"/bench/microbench_ops \
     --benchmark_filter="$FILTER" \
     --benchmark_repetitions="$REPS" \
     --benchmark_report_aggregates_only=false \
@@ -69,7 +83,7 @@ build_tree build-obs-on -DINVERDA_OBS=ON
 echo "== building no-obs baseline (-DINVERDA_OBS=OFF) =="
 build_tree build-obs-off -DINVERDA_OBS=OFF
 
-echo "== measuring (filter: $FILTER, $ROUNDS interleaved rounds x $REPS reps, min cpu) =="
+echo "== measuring (filter: $FILTER, $ROUNDS interleaved rounds x $REPS reps, min cpu${PIN[*]:+, pinned: ${PIN[*]}}) =="
 ON_CSV=""
 OFF_CSV=""
 for ((round = 1; round <= ROUNDS; ++round)); do

@@ -1,6 +1,5 @@
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -70,7 +69,6 @@ AccessLayer::AccessLayer(VersionCatalog* catalog, Database* db,
   latch_ns_ = m.histogram("latch.acquire_ns");
   latch_fine_ = m.counter("latch.fine_grained");
   latch_escalations_ = m.counter("latch.escalations");
-  latch_global_ = m.counter("latch.global");
   // Pull sources: the plan cache already keeps its own counters —
   // exporting them through callbacks keeps one source of truth, so the
   // registry can never drift from the component's own view.
@@ -169,27 +167,12 @@ Result<const plan::TvPlan*> AccessLayer::GetPlan(TvId tv) {
   return plan_cache_.Get(tv, catalog_->materialization_epoch(), compiler_);
 }
 
-Result<AccessLayer::PlanHandle> AccessLayer::ResolvePlan(TvId tv) {
-  PlanHandle handle;
-  if (plan_cache_enabled_) {
-    INVERDA_ASSIGN_OR_RETURN(handle.cached, GetPlan(tv));
-    return handle;
-  }
-  // Legacy-resolution mode: re-resolve the first hop from the catalog on
-  // every access, like the pre-plan executor did. The plan lives on this
-  // call's stack because kernels re-enter the AccessLayer recursively.
-  INVERDA_ASSIGN_OR_RETURN(plan::TvPlan shallow, compiler_.CompileShallow(tv));
-  handle.owned = std::make_unique<plan::TvPlan>(std::move(shallow));
-  return handle;
-}
-
 Status AccessLayer::PrewarmPlans() {
   // Compile every table version's plan at the current epoch. Called inside
   // the migration flip window (exclusive catalog lock held) right after the
   // epoch bump, so the first post-flip access of every version hits a warm
   // cache instead of paying compilation inside its own critical path — the
   // "dual-plan epoch window" collapses to the flip itself.
-  if (!plan_cache_enabled_) return Status::OK();
   for (TvId tv : catalog_->AllTableVersions()) {
     INVERDA_RETURN_IF_ERROR(GetPlan(tv).status());
   }
@@ -197,12 +180,8 @@ Status AccessLayer::PrewarmPlans() {
 }
 
 Result<int> AccessLayer::PropagationDistance(TvId tv) {
-  if (plan_cache_enabled_) {
-    INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* p, GetPlan(tv));
-    return p->distance();
-  }
-  INVERDA_ASSIGN_OR_RETURN(plan::TvPlan full, compiler_.Compile(tv));
-  return full.distance();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* p, GetPlan(tv));
+  return p->distance();
 }
 
 // --- latching ---------------------------------------------------------------
@@ -218,14 +197,6 @@ void AccessLayer::AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
   // hot-flags load, see Observability::hot()).
   obs::ScopedTimer timer(timed ? latch_ns_ : nullptr);
   const bool exclusive = write || p.derive_mutates;
-  if (!p.full) {
-    // Shallow plans (plan cache disabled) carry no footprint: fall back to
-    // the exclusive whole-database latch — the legacy-resolution
-    // concurrency model.
-    if (timed) [[unlikely]] latch_global_->Add(1);
-    latches->AcquireGlobal(&db_->latches());
-    return;
-  }
   // The footprint lists every physical table any access path of the
   // version can touch, so it covers both the derivation closure of reads
   // and the sibling derivations of a write's propagation chain.
@@ -287,8 +258,8 @@ Status AccessLayer::ScanVersion(TvId tv, const RowCallback& fn) {
       (hot & obs::Observability::kTracingBit) != 0 ? &obs_->tracer : nullptr;
   obs::ScopedTimer op_timer(timed && access_depth_ == 0 ? scan_ns_ : nullptr);
   obs::SpanGuard span(tracer, "scan");
-  INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
-  const plan::TvPlan& p = *handle.get();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* resolved, GetPlan(tv));
+  const plan::TvPlan& p = *resolved;
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
   AcquireLatches(&latches, p, /*write=*/false, timed);
@@ -304,27 +275,16 @@ Status AccessLayer::ScanVersion(TvId tv, const RowCallback& fn) {
     table->Scan(fn);
     return Status::OK();
   }
+  // Columnar derivation: the chain below runs through the kernels' batch
+  // entry points and the result streams straight to the caller — no
+  // intermediate row-major table.
   const plan::PlanStep& step = p.steps.front();
-  if (batch_enabled_) {
-    // Columnar derivation: the chain below runs through the kernels' batch
-    // entry points and the result streams straight to the caller — no
-    // intermediate row-major table.
-    RowBatch batch;
-    INVERDA_RETURN_IF_ERROR(RunStep(
-        hot, StepCall::kDerive, step,
-        [&] { return step.DeriveBatch(&batch); },
-        [&] { return batch.selected_count(); }));
-    if (span) [[unlikely]] span->rows_out = batch.selected_count();
-    batch.ForEach(fn);
-    return Status::OK();
-  }
-  Table tmp(*p.schema);
+  RowBatch batch;
   INVERDA_RETURN_IF_ERROR(RunStep(
-      hot, StepCall::kDerive, step,
-      [&] { return step.Derive(std::nullopt, &tmp); },
-      [&] { return tmp.size(); }));
-  if (span) [[unlikely]] span->rows_out = tmp.size();
-  tmp.Scan(fn);
+      hot, StepCall::kDerive, step, [&] { return step.DeriveBatch(&batch); },
+      [&] { return batch.selected_count(); }));
+  if (span) [[unlikely]] span->rows_out = batch.selected_count();
+  batch.ForEach(fn);
   return Status::OK();
 }
 
@@ -333,9 +293,6 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
   // batch straight from the data table, virtual ones derive through the
   // kernels' batch entry points (PlanStep::DeriveBatch). Kernel recursion
   // re-enters here, so a batch scan stays columnar down the whole chain.
-  // With batching disabled, the base-class bridge collects rows through
-  // the ordinary ScanVersion — the row-at-a-time baseline.
-  if (!batch_enabled_) return AccessBackend::ScanVersionBatch(tv, out);
   CountAccess(tv, /*write=*/false);
   const uint32_t hot = obs_->hot();
   const bool timed = (hot & obs::Observability::kTimingBit) != 0;
@@ -343,8 +300,8 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
       (hot & obs::Observability::kTracingBit) != 0 ? &obs_->tracer : nullptr;
   obs::ScopedTimer op_timer(timed && access_depth_ == 0 ? scan_ns_ : nullptr);
   obs::SpanGuard span(tracer, "scan");
-  INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
-  const plan::TvPlan& p = *handle.get();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* resolved, GetPlan(tv));
+  const plan::TvPlan& p = *resolved;
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
   AcquireLatches(&latches, p, /*write=*/false, timed);
@@ -375,8 +332,8 @@ Result<std::optional<Row>> AccessLayer::FindVersion(TvId tv, int64_t key) {
       (hot & obs::Observability::kTracingBit) != 0 ? &obs_->tracer : nullptr;
   obs::ScopedTimer op_timer(timed && access_depth_ == 0 ? find_ns_ : nullptr);
   obs::SpanGuard span(tracer, "find");
-  INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
-  const plan::TvPlan& p = *handle.get();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* resolved, GetPlan(tv));
+  const plan::TvPlan& p = *resolved;
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
   AcquireLatches(&latches, p, /*write=*/false, timed);
@@ -394,14 +351,16 @@ Result<std::optional<Row>> AccessLayer::FindVersion(TvId tv, int64_t key) {
     return std::optional<Row>(*row);
   }
   const plan::PlanStep& step = p.steps.front();
-  Table tmp(*p.schema);
+  std::optional<Row> row;
   INVERDA_RETURN_IF_ERROR(RunStep(
-      hot, StepCall::kDerive, step, [&] { return step.Derive(key, &tmp); },
-      [&] { return tmp.size(); }));
-  const Row* row = tmp.Find(key);
-  if (row == nullptr) return std::optional<Row>();
-  if (span) [[unlikely]] span->rows_out = 1;
-  return std::optional<Row>(*row);
+      hot, StepCall::kDerive, step,
+      [&]() -> Status {
+        INVERDA_ASSIGN_OR_RETURN(row, step.Derive(key));
+        return Status::OK();
+      },
+      [&] { return row ? int64_t{1} : int64_t{0}; }));
+  if (row && span) [[unlikely]] span->rows_out = 1;
+  return row;
 }
 
 // --- writes -----------------------------------------------------------------
@@ -434,8 +393,8 @@ Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
   obs::ScopedTimer op_timer(timed && access_depth_ == 0 ? apply_ns_ : nullptr);
   obs::SpanGuard span(tracer, "apply");
   if (span) [[unlikely]] span->rows_in = static_cast<int64_t>(writes.ops.size());
-  INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
-  const plan::TvPlan& p = *handle.get();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* resolved, GetPlan(tv));
+  const plan::TvPlan& p = *resolved;
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
   AcquireLatches(&latches, p, /*write=*/true, timed);

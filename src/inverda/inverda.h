@@ -47,9 +47,8 @@ class Inverda;
 /// re-enters under the top-level latch set (a thread-local depth counter
 /// suppresses nested acquisition). Catalog-shape changes never race with
 /// operations: the Inverda facade serializes DDL against all data access.
-/// The configuration setters (set_plan_cache_enabled, set_batch_enabled,
-/// set_fusion_enabled, set_verify_enabled) are not thread-safe; configure
-/// before going concurrent.
+/// The configuration setters (set_fusion_enabled, set_verify_enabled) are
+/// not thread-safe; configure before going concurrent.
 class AccessLayer : public AccessBackend {
  public:
   /// `obs` is the owning facade's observability bundle: the constructor
@@ -77,20 +76,6 @@ class AccessLayer : public AccessBackend {
   /// epoch, caching on first use. The pointer stays valid until the next
   /// evolution, migration, or drop. Used by EXPLAIN and the executor.
   Result<const plan::TvPlan*> GetPlan(TvId tv);
-
-  /// Plan-cache toggle: when disabled every access re-resolves its first
-  /// hop from the catalog, reproducing the pre-plan executor's per-access
-  /// work. On by default; bench/microbench_plan uses the off state as the
-  /// legacy-resolution baseline.
-  void set_plan_cache_enabled(bool enabled) { plan_cache_enabled_ = enabled; }
-  bool plan_cache_enabled() const { return plan_cache_enabled_; }
-
-  /// Batch-execution toggle: when enabled (default) full scans derive
-  /// through the kernels' columnar batch entry points; when disabled they
-  /// run row-at-a-time, the unbatched baseline bench/microbench_plan
-  /// measures. Not thread-safe; configure before going concurrent.
-  void set_batch_enabled(bool enabled) { batch_enabled_ = enabled; }
-  bool batch_enabled() const { return batch_enabled_; }
 
   /// Fusion toggle (plan/fused.h): forwards to the plan compiler and drops
   /// every cached plan so subsequent compiles reflect the setting. On by
@@ -156,27 +141,15 @@ class AccessLayer : public AccessBackend {
   void ResetAccessProfile();
 
  private:
-  /// A plan resolved for one operation: a pointer into the plan cache, or
-  /// (plan cache disabled) a freshly compiled shallow plan owned by the
-  /// handle so that recursive accesses never clobber each other.
-  struct PlanHandle {
-    const plan::TvPlan* get() const { return owned ? owned.get() : cached; }
-    const plan::TvPlan* cached = nullptr;
-    std::unique_ptr<plan::TvPlan> owned;
-  };
-  Result<PlanHandle> ResolvePlan(TvId tv);
-
   /// The body of ApplyToVersion; the public entry point wraps it with the
   /// migration write-capture hook so every exit path reports exactly once.
   Status ApplyToVersionImpl(TvId tv, const WriteSet& writes);
 
   /// Latches the operation's physical footprint at the top level of an
   /// access (a no-op when the calling thread is already inside one — kernel
-  /// recursion runs under the enclosing latch set). Pure reads of full
-  /// plans take shared latches on the footprint; writes and plans whose
-  /// Derive mutates id state take them exclusively; shallow plans (plan
-  /// cache disabled) have no footprint and fall back to the whole-database
-  /// latch.
+  /// recursion runs under the enclosing latch set). Pure reads take shared
+  /// latches on the footprint; writes and plans whose Derive mutates id
+  /// state take them exclusively.
   void AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
                       bool write, bool timed);
 
@@ -213,7 +186,6 @@ class AccessLayer : public AccessBackend {
   obs::Histogram* latch_ns_;
   obs::Counter* latch_fine_;
   obs::Counter* latch_escalations_;
-  obs::Counter* latch_global_;
 
   static constexpr size_t kMaxKernels = 16;
   struct KernelSlot {
@@ -241,8 +213,6 @@ class AccessLayer : public AccessBackend {
 
   plan::PlanCompiler compiler_;
   plan::PlanCache plan_cache_;
-  bool plan_cache_enabled_ = true;
-  bool batch_enabled_ = true;
 
   // Migration write-capture sink; null outside an active migration.
   std::atomic<migrate::WriteObserver*> write_observer_{nullptr};

@@ -11,8 +11,8 @@ class IdentityKernel : public Kernel {
  public:
   const char* name() const override { return "identity"; }
   bool ProjectionOnly() const override { return true; }
-  Status Derive(const SmoContext& ctx, SmoSide side, int which,
-                std::optional<int64_t> key, Table* out) const override;
+  Result<std::optional<Row>> Derive(const SmoContext& ctx, SmoSide side,
+                                    int which, int64_t key) const override;
   Status DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
                          RowBatch* out) const override;
   Status Propagate(const SmoContext& ctx, SmoSide side, int which,
@@ -27,8 +27,8 @@ class ColumnKernel : public Kernel {
  public:
   const char* name() const override { return "column"; }
   bool ProjectionOnly() const override { return true; }
-  Status Derive(const SmoContext& ctx, SmoSide side, int which,
-                std::optional<int64_t> key, Table* out) const override;
+  Result<std::optional<Row>> Derive(const SmoContext& ctx, SmoSide side,
+                                    int which, int64_t key) const override;
   Status DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
                          RowBatch* out) const override;
   Status DeriveAux(const SmoContext& ctx, const std::string& aux_short_name,
@@ -45,8 +45,8 @@ class ColumnKernel : public Kernel {
 class PartitionKernel : public Kernel {
  public:
   const char* name() const override { return "partition"; }
-  Status Derive(const SmoContext& ctx, SmoSide side, int which,
-                std::optional<int64_t> key, Table* out) const override;
+  Result<std::optional<Row>> Derive(const SmoContext& ctx, SmoSide side,
+                                    int which, int64_t key) const override;
   Status DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
                          RowBatch* out) const override;
   Status DeriveAux(const SmoContext& ctx, const std::string& aux_short_name,
@@ -61,8 +61,8 @@ class PartitionKernel : public Kernel {
 class VerticalPkKernel : public Kernel {
  public:
   const char* name() const override { return "vertical-pk"; }
-  Status Derive(const SmoContext& ctx, SmoSide side, int which,
-                std::optional<int64_t> key, Table* out) const override;
+  Result<std::optional<Row>> Derive(const SmoContext& ctx, SmoSide side,
+                                    int which, int64_t key) const override;
   Status DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
                          RowBatch* out) const override;
   Status Propagate(const SmoContext& ctx, SmoSide side, int which,
@@ -75,8 +75,8 @@ class VerticalPkKernel : public Kernel {
 class JoinPkKernel : public Kernel {
  public:
   const char* name() const override { return "join-pk"; }
-  Status Derive(const SmoContext& ctx, SmoSide side, int which,
-                std::optional<int64_t> key, Table* out) const override;
+  Result<std::optional<Row>> Derive(const SmoContext& ctx, SmoSide side,
+                                    int which, int64_t key) const override;
   Status DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
                          RowBatch* out) const override;
   Status DeriveAux(const SmoContext& ctx, const std::string& aux_short_name,
@@ -94,8 +94,10 @@ class FkKernel : public Kernel {
   const char* name() const override { return "fk"; }
   // Derive assigns fresh t ids (IDR upserts, memo seeds, sequence draws).
   bool DeriveMutates() const override { return true; }
-  Status Derive(const SmoContext& ctx, SmoSide side, int which,
-                std::optional<int64_t> key, Table* out) const override;
+  Result<std::optional<Row>> Derive(const SmoContext& ctx, SmoSide side,
+                                    int which, int64_t key) const override;
+  Status DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
+                         RowBatch* out) const override;
   Status DeriveAux(const SmoContext& ctx, const std::string& aux_short_name,
                    Table* out) const override;
   Status Propagate(const SmoContext& ctx, SmoSide side, int which,
@@ -112,8 +114,10 @@ class CondKernel : public Kernel {
   const char* name() const override { return "cond"; }
   // Derive records fresh combination ids (ID upserts, memo, sequence).
   bool DeriveMutates() const override { return true; }
-  Status Derive(const SmoContext& ctx, SmoSide side, int which,
-                std::optional<int64_t> key, Table* out) const override;
+  Result<std::optional<Row>> Derive(const SmoContext& ctx, SmoSide side,
+                                    int which, int64_t key) const override;
+  Status DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
+                         RowBatch* out) const override;
   Status DeriveAux(const SmoContext& ctx, const std::string& aux_short_name,
                    Table* out) const override;
   Status Propagate(const SmoContext& ctx, SmoSide side, int which,

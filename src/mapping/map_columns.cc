@@ -6,23 +6,13 @@ namespace inverda {
 // IdentityKernel: RENAME TABLE / RENAME COLUMN
 // ---------------------------------------------------------------------------
 
-Status IdentityKernel::Derive(const SmoContext& ctx, SmoSide side, int which,
-                              std::optional<int64_t> key, Table* out) const {
+Result<std::optional<Row>> IdentityKernel::Derive(const SmoContext& ctx,
+                                                  SmoSide side, int which,
+                                                  int64_t key) const {
   if (which != 0) return Status::Internal("identity SMO has one table");
   const TvRef& other = ctx.side(side == SmoSide::kSource ? SmoSide::kTarget
                                                          : SmoSide::kSource)[0];
-  if (key) {
-    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
-                             ctx.backend->FindVersion(other.id, *key));
-    if (row) INVERDA_RETURN_IF_ERROR(out->Upsert(*key, std::move(*row)));
-    return Status::OK();
-  }
-  Status status = Status::OK();
-  INVERDA_RETURN_IF_ERROR(
-      ctx.backend->ScanVersion(other.id, [&](int64_t k, const Row& row) {
-        if (status.ok()) status = out->Upsert(k, row);
-      }));
-  return status;
+  return ctx.backend->FindVersion(other.id, key);
 }
 
 Status IdentityKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
@@ -106,55 +96,33 @@ Row NarrowRow(const Row& wide, int b_index) {
 
 }  // namespace
 
-Status ColumnKernel::Derive(const SmoContext& ctx, SmoSide side, int which,
-                            std::optional<int64_t> key, Table* out) const {
+Result<std::optional<Row>> ColumnKernel::Derive(const SmoContext& ctx,
+                                                SmoSide side, int which,
+                                                int64_t key) const {
   if (which != 0) return Status::Internal("column SMO has one table");
   INVERDA_ASSIGN_OR_RETURN(ColumnRoles roles, ResolveColumnRoles(ctx));
 
-  if (side == roles.wide_side) {
-    // Data on the narrow side; aux B is physical there.
-    INVERDA_ASSIGN_OR_RETURN(Table * b_aux, ctx.Aux("B"));
-    Status status = Status::OK();
-    auto emit = [&](int64_t k, const Row& narrow_row) {
-      if (!status.ok()) return;
-      Value b;
-      if (const Row* stored = b_aux->Find(k)) {
-        b = (*stored)[0];
-      } else {
-        Result<Value> computed =
-            roles.fn->Eval(*roles.narrow->schema, narrow_row);
-        if (!computed.ok()) {
-          status = computed.status();
-          return;
-        }
-        b = std::move(computed).value();
-      }
-      status = out->Upsert(k, WidenRow(narrow_row, roles.b_index, std::move(b)));
-    };
-    if (key) {
-      INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
-                               ctx.backend->FindVersion(roles.narrow->id, *key));
-      if (row) emit(*key, *row);
-      return status;
-    }
-    INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(roles.narrow->id, emit));
-    return status;
+  if (side != roles.wide_side) {
+    // Deriving the narrow side: data on the wide side; plain projection.
+    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> wide_row,
+                             ctx.backend->FindVersion(roles.wide->id, key));
+    if (!wide_row) return wide_row;
+    return std::optional<Row>(NarrowRow(*wide_row, roles.b_index));
   }
-
-  // Deriving the narrow side: data on the wide side; plain projection.
-  Status status = Status::OK();
-  auto emit = [&](int64_t k, const Row& wide_row) {
-    if (!status.ok()) return;
-    status = out->Upsert(k, NarrowRow(wide_row, roles.b_index));
-  };
-  if (key) {
-    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
-                             ctx.backend->FindVersion(roles.wide->id, *key));
-    if (row) emit(*key, *row);
-    return status;
+  // Data on the narrow side; aux B is physical there. The stored b value
+  // wins, the payload function fills in on an aux miss.
+  INVERDA_ASSIGN_OR_RETURN(Table * b_aux, ctx.Aux("B"));
+  INVERDA_ASSIGN_OR_RETURN(std::optional<Row> narrow_row,
+                           ctx.backend->FindVersion(roles.narrow->id, key));
+  if (!narrow_row) return narrow_row;
+  Value b;
+  if (const Row* stored = b_aux->Find(key)) {
+    b = (*stored)[0];
+  } else {
+    INVERDA_ASSIGN_OR_RETURN(b,
+                             roles.fn->Eval(*roles.narrow->schema, *narrow_row));
   }
-  INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(roles.wide->id, emit));
-  return status;
+  return std::optional<Row>(WidenRow(*narrow_row, roles.b_index, std::move(b)));
 }
 
 Status ColumnKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
@@ -171,8 +139,8 @@ Status ColumnKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
   }
 
   // Wide from narrow: scan the narrow side, then splice in the b column —
-  // stored aux value per key, payload function on aux miss (same rule the
-  // row path applies per tuple).
+  // stored aux value per key, payload function on aux miss (the rule Derive
+  // applies to one key).
   INVERDA_RETURN_IF_ERROR(
       ctx.backend->ScanVersionBatch(roles.narrow->id, out));
   INVERDA_ASSIGN_OR_RETURN(Table * b_aux, ctx.Aux("B"));

@@ -1,6 +1,7 @@
 #include "mapping/kernels.h"
 
 #include <set>
+#include <unordered_map>
 
 #include "util/strings.h"
 
@@ -149,67 +150,39 @@ Value FkOf(const VerticalRoles& roles, const Row& s_payload) {
 // VerticalPkKernel: DECOMPOSE ON PK / OUTER JOIN ON PK (B.2)
 // ---------------------------------------------------------------------------
 
-Status VerticalPkKernel::Derive(const SmoContext& ctx, SmoSide side, int which,
-                                std::optional<int64_t> key, Table* out) const {
+Result<std::optional<Row>> VerticalPkKernel::Derive(const SmoContext& ctx,
+                                                    SmoSide side, int which,
+                                                    int64_t key) const {
   INVERDA_ASSIGN_OR_RETURN(VerticalRoles roles,
                            ResolveVertical(ctx, VerticalMethod::kPk));
 
   if (side != roles.combined_side) {
-    // Derive S (which == 0) or T (which == 1) from the combined table:
-    // project, skipping all-ω parts (rules 133-134).
+    // S (which == 0) or T (which == 1) from the combined table: project,
+    // skipping all-ω parts (rules 133-134).
     bool want_s = (which == 0);
     if (!want_s && roles.t == nullptr) {
       return Status::Internal("projection-only DECOMPOSE has no T");
     }
-    const std::vector<int>& indexes =
-        want_s ? roles.a_indexes : roles.b_indexes;
-    Status status = Status::OK();
-    auto emit = [&](int64_t k, const Row& row) {
-      if (!status.ok()) return;
-      Row part = Project(row, indexes);
-      if (!AllNull(part)) status = out->Upsert(k, std::move(part));
-    };
-    if (key) {
-      INVERDA_ASSIGN_OR_RETURN(
-          std::optional<Row> row,
-          ctx.backend->FindVersion(roles.combined->id, *key));
-      if (row) emit(*key, *row);
-      return status;
-    }
-    INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(roles.combined->id, emit));
-    return status;
+    INVERDA_ASSIGN_OR_RETURN(
+        std::optional<Row> row,
+        ctx.backend->FindVersion(roles.combined->id, key));
+    if (!row) return row;
+    Row part = Project(*row, want_s ? roles.a_indexes : roles.b_indexes);
+    if (AllNull(part)) return std::optional<Row>();
+    return std::optional<Row>(std::move(part));
   }
 
-  // Derive the combined table: full outer join of S and T on the key
+  // The combined table: full outer join of S and T on the key
   // (rules 135-137).
-  int width = roles.combined->schema->num_columns();
-  if (key) {
-    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> a,
-                             ctx.backend->FindVersion(roles.s->id, *key));
-    std::optional<Row> b;
-    if (roles.t != nullptr) {
-      INVERDA_ASSIGN_OR_RETURN(b, ctx.backend->FindVersion(roles.t->id, *key));
-    }
-    if (!a && !b) return Status::OK();
-    return out->Upsert(*key, Combine(roles, width, a ? &*a : nullptr,
-                                     b ? &*b : nullptr));
-  }
-  INVERDA_ASSIGN_OR_RETURN(RowMap a_rows,
-                           CollectVersion(ctx.backend, roles.s->id));
-  RowMap b_rows;
+  INVERDA_ASSIGN_OR_RETURN(std::optional<Row> a,
+                           ctx.backend->FindVersion(roles.s->id, key));
+  std::optional<Row> b;
   if (roles.t != nullptr) {
-    INVERDA_ASSIGN_OR_RETURN(b_rows, CollectVersion(ctx.backend, roles.t->id));
+    INVERDA_ASSIGN_OR_RETURN(b, ctx.backend->FindVersion(roles.t->id, key));
   }
-  for (const auto& [k, a] : a_rows) {
-    auto it = b_rows.find(k);
-    INVERDA_RETURN_IF_ERROR(out->Upsert(
-        k, Combine(roles, width, &a, it == b_rows.end() ? nullptr : &it->second)));
-  }
-  for (const auto& [k, b] : b_rows) {
-    if (a_rows.count(k)) continue;
-    INVERDA_RETURN_IF_ERROR(out->Upsert(k, Combine(roles, width, nullptr, &b)));
-  }
-  return Status::OK();
+  if (!a && !b) return std::optional<Row>();
+  return std::optional<Row>(Combine(roles, roles.combined->schema->num_columns(),
+                                    a ? &*a : nullptr, b ? &*b : nullptr));
 }
 
 Status VerticalPkKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
@@ -217,10 +190,32 @@ Status VerticalPkKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
   INVERDA_ASSIGN_OR_RETURN(VerticalRoles roles,
                            ResolveVertical(ctx, VerticalMethod::kPk));
   if (side == roles.combined_side) {
-    // The combined side is a key-merge of two versions; the generic
-    // scratch-table fallback is already its natural shape.
-    return Kernel::DeriveReadBatch(ctx, side, which, out);
+    // The combined table: full outer join of S and T on the key
+    // (rules 135-137).
+    INVERDA_ASSIGN_OR_RETURN(RowMap a_rows,
+                             CollectVersion(ctx.backend, roles.s->id));
+    RowMap b_rows;
+    if (roles.t != nullptr) {
+      INVERDA_ASSIGN_OR_RETURN(b_rows, CollectVersion(ctx.backend, roles.t->id));
+    }
+    const int width = roles.combined->schema->num_columns();
+    INVERDA_RETURN_IF_ERROR(out->SetNumColumns(width));
+    for (const auto& [k, a] : a_rows) {
+      auto it = b_rows.find(k);
+      INVERDA_RETURN_IF_ERROR(out->AppendRow(
+          k, Combine(roles, width, &a,
+                     it == b_rows.end() ? nullptr : &it->second)));
+    }
+    for (const auto& [k, b] : b_rows) {
+      if (a_rows.count(k)) continue;
+      INVERDA_RETURN_IF_ERROR(
+          out->AppendRow(k, Combine(roles, width, nullptr, &b)));
+    }
+    out->SortByKey();
+    return Status::OK();
   }
+
+  // S or T from the combined batch: a columnar projection.
   bool want_s = (which == 0);
   if (!want_s && roles.t == nullptr) {
     return Status::Internal("projection-only DECOMPOSE has no T");
@@ -519,130 +514,169 @@ Result<std::optional<int64_t>> FindRightByPayload(const SmoContext& ctx,
 
 }  // namespace
 
-Status FkKernel::Derive(const SmoContext& ctx, SmoSide side, int which,
-                        std::optional<int64_t> key, Table* out) const {
+Result<std::optional<Row>> FkKernel::Derive(const SmoContext& ctx,
+                                            SmoSide side, int which,
+                                            int64_t key) const {
   INVERDA_ASSIGN_OR_RETURN(VerticalRoles roles,
                            ResolveVertical(ctx, VerticalMethod::kFk));
 
   if (side != roles.combined_side) {
-    // Derive S (which == 0) or T (which == 1) from the combined side.
+    // S (which == 0) or T (which == 1) from the combined side.
     INVERDA_ASSIGN_OR_RETURN(Table * idr, ctx.Aux("IDR"));
     bool want_s = (which == 0);
-    Status status = Status::OK();
-    auto emit = [&](int64_t p, const Row& combined) {
-      if (!status.ok()) return;
-      Row a = APart(roles, combined);
-      Row b = BPart(roles, combined);
-      Result<Value> t = ResolveAssignedT(ctx, roles, idr, p, a, b);
-      if (!t.ok()) {
-        status = t.status();
-        return;
+    std::optional<Row> row;
+    if (want_s) {
+      // Rules 144-146: a combined row with a non-ω left part is an S row
+      // whose fk is the row's assigned right-hand id.
+      INVERDA_ASSIGN_OR_RETURN(
+          std::optional<Row> combined,
+          ctx.backend->FindVersion(roles.combined->id, key));
+      if (combined) {
+        Row a = APart(roles, *combined);
+        INVERDA_ASSIGN_OR_RETURN(
+            Value t, ResolveAssignedT(ctx, roles, idr, key, a,
+                                      BPart(roles, *combined)));
+        if (!AllNull(a)) row = MakeSPayload(roles, a, std::move(t));
       }
-      if (want_s) {
-        // Rules 144-146: every row with a non-ω left part is an S row.
-        if (AllNull(a)) return;
-        status = out->Upsert(p, MakeSPayload(roles, a, std::move(*t)));
-      } else {
-        // Rules 141-143: deduplicated right parts under their assigned id.
-        if (AllNull(b) || t->is_null()) return;
-        status = out->Upsert(t->AsInt(), std::move(b));
-      }
-    };
+    } else {
+      // Rules 141-143: the right-hand tuple by its id.
+      INVERDA_ASSIGN_OR_RETURN(
+          row, FindRightPayloadFromCombined(ctx, roles, idr, key));
+    }
     // Inner joins additionally carry the hidden unmatched tuples in the
     // keep-alive aux tables.
+    if (!row && !roles.outer) {
+      INVERDA_ASSIGN_OR_RETURN(Table * keep,
+                               ctx.Aux(want_s ? "L_plus" : "R_plus"));
+      if (const Row* kept = keep->Find(key)) row = *kept;
+    }
+    return row;
+  }
+
+  // The combined table from S and T (rules 147-149).
+  int width = roles.combined->schema->num_columns();
+  INVERDA_ASSIGN_OR_RETURN(std::optional<Row> s_row,
+                           ctx.backend->FindVersion(roles.s->id, key));
+  if (s_row) {
+    Row a = SPayloadWithoutFk(roles, *s_row);
+    Value fk = FkOf(roles, *s_row);
+    std::optional<Row> b;
+    if (!fk.is_null()) {
+      INVERDA_ASSIGN_OR_RETURN(b,
+                               ctx.backend->FindVersion(roles.t->id, fk.AsInt()));
+    }
+    if (!b && !roles.outer) return b;  // inner join: unmatched hidden
+    return std::optional<Row>(Combine(roles, width, &a, b ? &*b : nullptr));
+  }
+  // An unreferenced right tuple keyed t (rule 149) — only visible if no S
+  // row references it.
+  if (!roles.outer) return std::optional<Row>();
+  INVERDA_ASSIGN_OR_RETURN(std::optional<Row> b,
+                           ctx.backend->FindVersion(roles.t->id, key));
+  if (!b) return b;
+  bool is_referenced = false;
+  INVERDA_RETURN_IF_ERROR(
+      ctx.backend->ScanVersion(roles.s->id, [&](int64_t p, const Row& row) {
+        (void)p;
+        Value fk = FkOf(roles, row);
+        if (!fk.is_null() && fk.AsInt() == key) is_referenced = true;
+      }));
+  if (is_referenced) return std::optional<Row>();
+  return std::optional<Row>(Combine(roles, width, nullptr, &*b));
+}
+
+Status FkKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
+                                 int which, RowBatch* out) const {
+  INVERDA_ASSIGN_OR_RETURN(VerticalRoles roles,
+                           ResolveVertical(ctx, VerticalMethod::kFk));
+  const int width =
+      ctx.side(side)[static_cast<size_t>(which)].schema->num_columns();
+  INVERDA_RETURN_IF_ERROR(out->SetNumColumns(width));
+  Status status = Status::OK();
+
+  if (side != roles.combined_side) {
+    // S or T from the combined side, resolving every row's right-hand id
+    // (rules 141-146) as the combined version streams by.
+    INVERDA_ASSIGN_OR_RETURN(Table * idr, ctx.Aux("IDR"));
+    bool want_s = (which == 0);
     Table* keep = nullptr;
     if (!roles.outer) {
       INVERDA_ASSIGN_OR_RETURN(keep, ctx.Aux(want_s ? "L_plus" : "R_plus"));
     }
-    if (key) {
-      if (want_s) {
-        INVERDA_ASSIGN_OR_RETURN(
-            std::optional<Row> row,
-            ctx.backend->FindVersion(roles.combined->id, *key));
-        if (row) emit(*key, *row);
-        if (status.ok() && !out->Contains(*key) && keep != nullptr) {
-          if (const Row* kept = keep->Find(*key)) {
-            status = out->Upsert(*key, *kept);
+    // Batch position of every emitted T id (a later combined row's payload
+    // replaces an earlier one's) and, for the keep-alive tuples, of every
+    // emitted key they must not shadow.
+    std::unordered_map<int64_t, int64_t> at;
+    INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(
+        roles.combined->id, [&](int64_t p, const Row& combined) {
+          if (!status.ok()) return;
+          Row a = APart(roles, combined);
+          Row b = BPart(roles, combined);
+          Result<Value> t = ResolveAssignedT(ctx, roles, idr, p, a, b);
+          if (!t.ok()) {
+            status = t.status();
+            return;
           }
-        }
-        return status;
-      }
-      // Keyed lookup of a right-hand tuple.
-      INVERDA_ASSIGN_OR_RETURN(
-          std::optional<Row> payload,
-          FindRightPayloadFromCombined(ctx, roles, idr, *key));
-      if (payload) return out->Upsert(*key, std::move(*payload));
-      if (keep != nullptr) {
-        if (const Row* kept = keep->Find(*key)) {
-          return out->Upsert(*key, *kept);
-        }
-      }
-      return Status::OK();
-    }
-    INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(roles.combined->id, emit));
+          if (want_s) {
+            if (AllNull(a)) return;
+            if (keep != nullptr) at.emplace(p, out->size());
+            status = out->AppendRow(p, MakeSPayload(roles, a, std::move(*t)));
+            return;
+          }
+          if (AllNull(b) || t->is_null()) return;
+          auto [it, fresh] = at.emplace(t->AsInt(), out->size());
+          if (fresh) {
+            status = out->AppendRow(t->AsInt(), std::move(b));
+            return;
+          }
+          for (int c = 0; c < width; ++c) {
+            out->column(c)[static_cast<size_t>(it->second)] =
+                std::move(b[static_cast<size_t>(c)]);
+          }
+        }));
     INVERDA_RETURN_IF_ERROR(status);
     if (keep != nullptr) {
       keep->Scan([&](int64_t k, const Row& row) {
-        if (status.ok() && !out->Contains(k)) status = out->Upsert(k, row);
+        if (status.ok() && !at.count(k)) status = out->AppendRow(k, row);
       });
+      INVERDA_RETURN_IF_ERROR(status);
     }
-    return status;
+    out->SortByKey();
+    return Status::OK();
   }
 
-  // Derive the combined table from S and T (rules 147-149).
-  int width = roles.combined->schema->num_columns();
+  // The combined table from S and T (rules 147-149): every S row joined to
+  // the right-hand tuple its fk names, then (outer join) the unreferenced
+  // right-hand tuples under their own id. S keys and right-hand ids are
+  // drawn from one sequence, so the two never share a key.
   INVERDA_ASSIGN_OR_RETURN(RowMap t_rows,
                            CollectVersion(ctx.backend, roles.t->id));
   std::set<int64_t> referenced;
-  Status status = Status::OK();
-  auto emit_s = [&](int64_t p, const Row& s_payload) {
-    if (!status.ok()) return;
-    Row a = SPayloadWithoutFk(roles, s_payload);
-    Value fk = FkOf(roles, s_payload);
-    const Row* b = nullptr;
-    if (!fk.is_null()) {
-      auto it = t_rows.find(fk.AsInt());
-      if (it != t_rows.end()) {
-        b = &it->second;
-        referenced.insert(fk.AsInt());
-      }
-    }
-    if (b == nullptr && !roles.outer) return;  // inner join: unmatched hidden
-    status = out->Upsert(p, Combine(roles, width, &a, b));
-  };
-  if (key) {
-    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> s_row,
-                             ctx.backend->FindVersion(roles.s->id, *key));
-    if (s_row) {
-      emit_s(*key, *s_row);
-      return status;
-    }
-    // An unreferenced right tuple keyed t (rule 149) — only visible if no
-    // S row references it.
-    auto it = t_rows.find(*key);
-    if (it == t_rows.end() || !roles.outer) return Status::OK();
-    bool is_referenced = false;
-    INVERDA_RETURN_IF_ERROR(
-        ctx.backend->ScanVersion(roles.s->id, [&](int64_t p, const Row& row) {
-          (void)p;
-          Value fk = FkOf(roles, row);
-          if (!fk.is_null() && fk.AsInt() == *key) is_referenced = true;
-        }));
-    if (!is_referenced) {
-      INVERDA_RETURN_IF_ERROR(
-          out->Upsert(*key, Combine(roles, width, nullptr, &it->second)));
-    }
-    return Status::OK();
-  }
-  INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(roles.s->id, emit_s));
+  INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(
+      roles.s->id, [&](int64_t p, const Row& s_payload) {
+        if (!status.ok()) return;
+        Row a = SPayloadWithoutFk(roles, s_payload);
+        Value fk = FkOf(roles, s_payload);
+        const Row* b = nullptr;
+        if (!fk.is_null()) {
+          auto it = t_rows.find(fk.AsInt());
+          if (it != t_rows.end()) {
+            b = &it->second;
+            referenced.insert(fk.AsInt());
+          }
+        }
+        if (b == nullptr && !roles.outer) return;  // inner: unmatched hidden
+        status = out->AppendRow(p, Combine(roles, width, &a, b));
+      }));
   INVERDA_RETURN_IF_ERROR(status);
   if (roles.outer) {
     for (const auto& [t, b] : t_rows) {
       if (referenced.count(t)) continue;
       INVERDA_RETURN_IF_ERROR(
-          out->Upsert(t, Combine(roles, width, nullptr, &b)));
+          out->AppendRow(t, Combine(roles, width, nullptr, &b)));
     }
   }
+  out->SortByKey();
   return Status::OK();
 }
 

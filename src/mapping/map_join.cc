@@ -62,63 +62,36 @@ Row RightPart(const JoinPkRoles& roles, const Row& joined) {
 
 }  // namespace
 
-Status JoinPkKernel::Derive(const SmoContext& ctx, SmoSide side, int which,
-                            std::optional<int64_t> key, Table* out) const {
+Result<std::optional<Row>> JoinPkKernel::Derive(const SmoContext& ctx,
+                                                SmoSide side, int which,
+                                                int64_t key) const {
   INVERDA_ASSIGN_OR_RETURN(JoinPkRoles roles, ResolveJoinPk(ctx));
 
   if (side == SmoSide::kTarget) {
-    // Derive the join result from S and T (rule 177).
+    // The join result from S and T (rule 177).
     if (which != 0) return Status::Internal("join has one target");
-    if (key) {
-      INVERDA_ASSIGN_OR_RETURN(std::optional<Row> a,
-                               ctx.backend->FindVersion(roles.left->id, *key));
-      if (!a) return Status::OK();
-      INVERDA_ASSIGN_OR_RETURN(std::optional<Row> b,
-                               ctx.backend->FindVersion(roles.right->id, *key));
-      if (!b) return Status::OK();
-      return out->Upsert(*key, ConcatRows(*a, *b));
-    }
-    INVERDA_ASSIGN_OR_RETURN(RowMap b_rows,
-                             CollectVersion(ctx.backend, roles.right->id));
-    Status status = Status::OK();
-    INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(
-        roles.left->id, [&](int64_t k, const Row& a) {
-          if (!status.ok()) return;
-          auto it = b_rows.find(k);
-          if (it == b_rows.end()) return;
-          status = out->Upsert(k, ConcatRows(a, it->second));
-        }));
-    return status;
+    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> a,
+                             ctx.backend->FindVersion(roles.left->id, key));
+    if (!a) return a;
+    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> b,
+                             ctx.backend->FindVersion(roles.right->id, key));
+    if (!b) return b;
+    return std::optional<Row>(ConcatRows(*a, *b));
   }
 
-  // Derive S (which == 0) or T (which == 1) from the join result and the
+  // S (which == 0) or T (which == 1) from the join result, else from the
   // keep-alive aux tables (rules 180-183).
   bool want_left = (which == 0);
   INVERDA_ASSIGN_OR_RETURN(Table * keep,
                            ctx.Aux(want_left ? "L_plus" : "R_plus"));
-  Status status = Status::OK();
-  auto from_joined = [&](int64_t k, const Row& row) {
-    if (!status.ok()) return;
-    status = out->Upsert(k, want_left ? LeftPart(roles, row)
-                                      : RightPart(roles, row));
-  };
-  if (key) {
-    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
-                             ctx.backend->FindVersion(roles.joined->id, *key));
-    if (row) {
-      from_joined(*key, *row);
-    } else if (const Row* kept = keep->Find(*key)) {
-      status = out->Upsert(*key, *kept);
-    }
-    return status;
+  INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
+                           ctx.backend->FindVersion(roles.joined->id, key));
+  if (row) {
+    return std::optional<Row>(want_left ? LeftPart(roles, *row)
+                                        : RightPart(roles, *row));
   }
-  INVERDA_RETURN_IF_ERROR(
-      ctx.backend->ScanVersion(roles.joined->id, from_joined));
-  INVERDA_RETURN_IF_ERROR(status);
-  keep->Scan([&](int64_t k, const Row& row) {
-    if (status.ok() && !out->Contains(k)) status = out->Upsert(k, row);
-  });
-  return status;
+  if (const Row* kept = keep->Find(key)) return std::optional<Row>(*kept);
+  return std::optional<Row>();
 }
 
 Status JoinPkKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
@@ -500,91 +473,101 @@ Result<SplitViews> BuildSplitViews(const SmoContext& ctx,
   return views;
 }
 
-}  // namespace
-
-Status CondKernel::Derive(const SmoContext& ctx, SmoSide side, int which,
-                          std::optional<int64_t> key, Table* out) const {
+// The full content of the `which`-th table on side `side`, keyed. Deriving
+// either side is a whole-relation computation (condition matches pair every
+// S row with every T row), so the point read and the scan share it.
+Result<RowMap> DeriveCondRows(const SmoContext& ctx, SmoSide side,
+                              int which) {
   INVERDA_ASSIGN_OR_RETURN(CondRoles roles, ResolveCond(ctx));
   INVERDA_ASSIGN_OR_RETURN(Table * id, ctx.Aux("ID"));
   int width = roles.combined->schema->num_columns();
 
-  if (side == roles.combined_side) {
-    // Derive the combined table from physical S and T. New condition
-    // matches receive fresh memoized ids and are recorded in ID
-    // (rules 187-188 / 165-166); R- suppresses deleted combinations.
-    INVERDA_ASSIGN_OR_RETURN(Table * r_minus, ctx.Aux("R_minus"));
-    INVERDA_ASSIGN_OR_RETURN(RowMap s_rows,
-                             CollectVersion(ctx.backend, roles.s->id));
-    INVERDA_ASSIGN_OR_RETURN(RowMap t_rows,
-                             CollectVersion(ctx.backend, roles.t->id));
-    IdIndex idx = LoadIdIndex(id);
-    std::set<int64_t> matched_s, matched_t;
+  if (side != roles.combined_side) {
+    // S (which == 0) or T (which == 1) from the combined side.
+    INVERDA_ASSIGN_OR_RETURN(SplitViews views,
+                             BuildSplitViews(ctx, roles, id));
+    return which == 0 ? std::move(views.s) : std::move(views.t);
+  }
 
-    // Existing combos whose endpoints still exist.
-    std::map<int64_t, Pair> combos;
-    for (const auto& [r, pair] : idx.by_r) {
-      if (s_rows.count(pair.first) && t_rows.count(pair.second)) {
-        combos[r] = pair;
-        matched_s.insert(pair.first);
-        matched_t.insert(pair.second);
-      }
+  // The combined table from physical S and T. New condition matches
+  // receive fresh memoized ids and are recorded in ID (rules 187-188 /
+  // 165-166); R- suppresses deleted combinations.
+  INVERDA_ASSIGN_OR_RETURN(Table * r_minus, ctx.Aux("R_minus"));
+  INVERDA_ASSIGN_OR_RETURN(RowMap s_rows,
+                           CollectVersion(ctx.backend, roles.s->id));
+  INVERDA_ASSIGN_OR_RETURN(RowMap t_rows,
+                           CollectVersion(ctx.backend, roles.t->id));
+  IdIndex idx = LoadIdIndex(id);
+  std::set<int64_t> matched_s, matched_t;
+
+  // Existing combos whose endpoints still exist.
+  std::map<int64_t, Pair> combos;
+  for (const auto& [r, pair] : idx.by_r) {
+    if (s_rows.count(pair.first) && t_rows.count(pair.second)) {
+      combos[r] = pair;
+      matched_s.insert(pair.first);
+      matched_t.insert(pair.second);
     }
-    // New condition matches.
+  }
+  // New condition matches.
+  for (const auto& [s_key, a] : s_rows) {
+    for (const auto& [t_key, b] : t_rows) {
+      Pair pair{s_key, t_key};
+      if (idx.pairs.count(pair)) continue;
+      if (PairPresent(r_minus, s_key, t_key)) continue;
+      INVERDA_ASSIGN_OR_RETURN(bool match, CondMatches(ctx, roles, a, b));
+      if (!match) continue;
+      int64_t r = ctx.memo->GetOrCreate(
+          "R", Row{Value::Int(s_key), Value::Int(t_key)}, ctx.seq());
+      INVERDA_RETURN_IF_ERROR(
+          id->Upsert(r, Row{Value::Int(s_key), Value::Int(t_key)}));
+      combos[r] = pair;
+      idx.pairs.insert(pair);
+      matched_s.insert(s_key);
+      matched_t.insert(t_key);
+    }
+  }
+  RowMap rows;
+  for (const auto& [r, pair] : combos) {
+    rows[r] = CondCombine(roles, width, &s_rows.at(pair.first),
+                          &t_rows.at(pair.second));
+  }
+  if (roles.outer) {
+    // Unmatched tuples appear ω-padded under their own key
+    // (rules 170-171).
     for (const auto& [s_key, a] : s_rows) {
-      for (const auto& [t_key, b] : t_rows) {
-        Pair pair{s_key, t_key};
-        if (idx.pairs.count(pair)) continue;
-        if (PairPresent(r_minus, s_key, t_key)) continue;
-        INVERDA_ASSIGN_OR_RETURN(bool match, CondMatches(ctx, roles, a, b));
-        if (!match) continue;
-        int64_t r = ctx.memo->GetOrCreate(
-            "R", Row{Value::Int(s_key), Value::Int(t_key)}, ctx.seq());
-        INVERDA_RETURN_IF_ERROR(
-            id->Upsert(r, Row{Value::Int(s_key), Value::Int(t_key)}));
-        combos[r] = pair;
-        idx.pairs.insert(pair);
-        matched_s.insert(s_key);
-        matched_t.insert(t_key);
+      if (!matched_s.count(s_key)) {
+        rows[s_key] = CondCombine(roles, width, &a, nullptr);
       }
     }
-    auto emit = [&](int64_t k, Row row) -> Status {
-      if (key && k != *key) return Status::OK();
-      return out->Upsert(k, std::move(row));
-    };
-    for (const auto& [r, pair] : combos) {
-      INVERDA_RETURN_IF_ERROR(emit(
-          r, CondCombine(roles, width, &s_rows.at(pair.first),
-                         &t_rows.at(pair.second))));
-    }
-    if (roles.outer) {
-      // Unmatched tuples appear ω-padded under their own key
-      // (rules 170-171).
-      for (const auto& [s_key, a] : s_rows) {
-        if (matched_s.count(s_key)) continue;
-        INVERDA_RETURN_IF_ERROR(
-            emit(s_key, CondCombine(roles, width, &a, nullptr)));
-      }
-      for (const auto& [t_key, b] : t_rows) {
-        if (matched_t.count(t_key)) continue;
-        INVERDA_RETURN_IF_ERROR(
-            emit(t_key, CondCombine(roles, width, nullptr, &b)));
+    for (const auto& [t_key, b] : t_rows) {
+      if (!matched_t.count(t_key)) {
+        rows[t_key] = CondCombine(roles, width, nullptr, &b);
       }
     }
-    return Status::OK();
   }
+  return rows;
+}
 
-  // Derive S (which == 0) or T (which == 1) from the combined side.
-  INVERDA_ASSIGN_OR_RETURN(SplitViews views, BuildSplitViews(ctx, roles, id));
-  const RowMap& rows = which == 0 ? views.s : views.t;
-  if (key) {
-    auto it = rows.find(*key);
-    if (it != rows.end()) {
-      INVERDA_RETURN_IF_ERROR(out->Upsert(it->first, it->second));
-    }
-    return Status::OK();
-  }
-  for (const auto& [k, row] : rows) {
-    INVERDA_RETURN_IF_ERROR(out->Upsert(k, row));
+}  // namespace
+
+Result<std::optional<Row>> CondKernel::Derive(const SmoContext& ctx,
+                                              SmoSide side, int which,
+                                              int64_t key) const {
+  INVERDA_ASSIGN_OR_RETURN(RowMap rows, DeriveCondRows(ctx, side, which));
+  auto it = rows.find(key);
+  if (it == rows.end()) return std::optional<Row>();
+  return std::optional<Row>(std::move(it->second));
+}
+
+Status CondKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
+                                   int which, RowBatch* out) const {
+  INVERDA_ASSIGN_OR_RETURN(RowMap rows, DeriveCondRows(ctx, side, which));
+  INVERDA_RETURN_IF_ERROR(out->SetNumColumns(
+      ctx.side(side)[static_cast<size_t>(which)].schema->num_columns()));
+  out->Reserve(out->size() + static_cast<int64_t>(rows.size()));
+  for (auto& [k, row] : rows) {
+    INVERDA_RETURN_IF_ERROR(out->AppendRow(k, std::move(row)));
   }
   return Status::OK();
 }

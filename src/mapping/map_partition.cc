@@ -201,89 +201,37 @@ Status ApplyAuxRow(Table* aux, int64_t key, const std::optional<Row>& row) {
 
 }  // namespace
 
-Status PartitionKernel::Derive(const SmoContext& ctx, SmoSide side, int which,
-                               std::optional<int64_t> key, Table* out) const {
+Result<std::optional<Row>> PartitionKernel::Derive(const SmoContext& ctx,
+                                                   SmoSide side, int which,
+                                                   int64_t key) const {
   INVERDA_ASSIGN_OR_RETURN(PartitionRoles roles, ResolveRoles(ctx));
 
   if (side == roles.union_side) {
-    // Derive T from the partition side: T = R + (S \ R) + T' (rules 18-20).
+    // T = R, else S, else T' (rules 18-20).
     if (which != 0) return Status::Internal("union side has one table");
     INVERDA_ASSIGN_OR_RETURN(Table * t_prime, ctx.Aux("T_prime"));
-    if (key) {
-      INVERDA_ASSIGN_OR_RETURN(std::optional<Row> r,
-                               ctx.backend->FindVersion(roles.r->id, *key));
-      if (r) return out->Upsert(*key, std::move(*r));
-      if (roles.s != nullptr) {
-        INVERDA_ASSIGN_OR_RETURN(std::optional<Row> s,
-                                 ctx.backend->FindVersion(roles.s->id, *key));
-        if (s) return out->Upsert(*key, std::move(*s));
-      }
-      if (const Row* tp = t_prime->Find(*key)) return out->Upsert(*key, *tp);
-      return Status::OK();
-    }
-    Status status = Status::OK();
-    INVERDA_RETURN_IF_ERROR(
-        ctx.backend->ScanVersion(roles.r->id, [&](int64_t k, const Row& row) {
-          if (status.ok()) status = out->Upsert(k, row);
-        }));
-    INVERDA_RETURN_IF_ERROR(status);
+    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> r,
+                             ctx.backend->FindVersion(roles.r->id, key));
+    if (r) return r;
     if (roles.s != nullptr) {
-      INVERDA_RETURN_IF_ERROR(ctx.backend->ScanVersion(
-          roles.s->id, [&](int64_t k, const Row& row) {
-            if (status.ok() && !out->Contains(k)) status = out->Upsert(k, row);
-          }));
-      INVERDA_RETURN_IF_ERROR(status);
+      INVERDA_ASSIGN_OR_RETURN(std::optional<Row> s,
+                               ctx.backend->FindVersion(roles.s->id, key));
+      if (s) return s;
     }
-    t_prime->Scan([&](int64_t k, const Row& row) {
-      if (status.ok() && !out->Contains(k)) status = out->Upsert(k, row);
-    });
-    return status;
+    if (const Row* tp = t_prime->Find(key)) return std::optional<Row>(*tp);
+    return std::optional<Row>();
   }
 
-  // Derive R (which == 0) or S (which == 1) from the union side.
+  // R (which == 0) or S (which == 1), decoded from the key's union state.
   bool want_r = (which == 0);
   if (!want_r && roles.s == nullptr) {
     return Status::Internal("single-target SPLIT has no S table");
   }
   INVERDA_ASSIGN_OR_RETURN(UnionAuxTables aux,
                            GetUnionAux(ctx, roles.s != nullptr));
-  auto emit_state = [&](int64_t k, UnionState u) -> Status {
-    INVERDA_ASSIGN_OR_RETURN(KeyState views, DecodePartition(roles, u));
-    const std::optional<Row>& row = want_r ? views.r : views.s;
-    if (row) return out->Upsert(k, *row);
-    return Status::OK();
-  };
-  if (key) {
-    INVERDA_ASSIGN_OR_RETURN(UnionState u,
-                             ReadUnionState(ctx, roles, aux, *key));
-    return emit_state(*key, std::move(u));
-  }
-
-  // Full scan: one upstream scan of T (the union side may itself be
-  // virtual; a single ScanVersion beats per-key resolution), plus (for S)
-  // the separated twins in S+.
-  Status status = Status::OK();
-  INVERDA_RETURN_IF_ERROR(
-      ctx.backend->ScanVersion(roles.t->id, [&](int64_t k, const Row& row) {
-        if (!status.ok()) return;
-        UnionState u;
-        u.t = row;
-        u.r_star = aux.r_star->Contains(k);
-        if (roles.s != nullptr) {
-          u.r_minus = aux.r_minus->Contains(k);
-          if (const Row* sp = aux.s_plus->Find(k)) u.s_plus = *sp;
-          u.s_minus = aux.s_minus->Contains(k);
-          u.s_star = aux.s_star->Contains(k);
-        }
-        status = emit_state(k, std::move(u));
-      }));
-  INVERDA_RETURN_IF_ERROR(status);
-  if (!want_r && aux.s_plus != nullptr) {
-    aux.s_plus->Scan([&](int64_t k, const Row& row) {
-      if (status.ok() && !out->Contains(k)) status = out->Upsert(k, row);
-    });
-  }
-  return status;
+  INVERDA_ASSIGN_OR_RETURN(UnionState u, ReadUnionState(ctx, roles, aux, key));
+  INVERDA_ASSIGN_OR_RETURN(KeyState views, DecodePartition(roles, u));
+  return want_r ? std::move(views.r) : std::move(views.s);
 }
 
 Status PartitionKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,

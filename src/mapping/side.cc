@@ -4,27 +4,6 @@
 
 namespace inverda {
 
-Status AccessBackend::ScanVersionBatch(TvId tv, RowBatch* out) {
-  // Generic bridge: collect row-at-a-time. AccessLayer overrides this with
-  // the real batch path; the bridge serves capture shims and tests.
-  Status status = Status::OK();
-  INVERDA_RETURN_IF_ERROR(ScanVersion(tv, [&](int64_t key, const Row& row) {
-    if (status.ok()) status = out->AppendRow(key, row);
-  }));
-  return status;
-}
-
-Status Kernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
-                               RowBatch* out) const {
-  // Row-at-a-time fallback: derive into a scratch table, then convert. The
-  // per-kernel overrides avoid both the map inserts and the conversion.
-  const TvRef& self = ctx.side(side)[static_cast<size_t>(which)];
-  Table scratch(*self.schema);
-  INVERDA_RETURN_IF_ERROR(Derive(ctx, side, which, std::nullopt, &scratch));
-  INVERDA_RETURN_IF_ERROR(out->SetNumColumns(self.schema->num_columns()));
-  return BatchFromTable(scratch, out);
-}
-
 int64_t IdMemo::GetOrCreate(const std::string& role, const Row& payload,
                             Sequence& seq) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -99,14 +78,6 @@ Status BatchFromTable(const Table& table, RowBatch* out) {
     if (status.ok()) status = out->AppendRow(key, row);
   });
   return status;
-}
-
-Status BatchToTable(const RowBatch& batch, Table* out) {
-  for (int64_t i = 0; i < batch.size(); ++i) {
-    if (!batch.selected(i)) continue;
-    INVERDA_RETURN_IF_ERROR(out->Upsert(batch.key_at(i), batch.RowAt(i)));
-  }
-  return Status::OK();
 }
 
 }  // namespace inverda

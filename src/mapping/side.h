@@ -33,12 +33,10 @@ class AccessBackend {
   /// Streams all rows of table version `tv`.
   virtual Status ScanVersion(TvId tv, const RowCallback& fn) = 0;
 
-  /// Scans all rows of table version `tv` into a columnar batch. The
-  /// default bridges through ScanVersion row-at-a-time; AccessLayer
-  /// overrides it with the batch execution path (physical tables fill the
-  /// batch directly, virtual versions derive through the kernels' batch
-  /// entry points).
-  virtual Status ScanVersionBatch(TvId tv, RowBatch* out);
+  /// Scans all rows of table version `tv` into a columnar batch, in
+  /// ascending key order: physical tables fill the batch directly, virtual
+  /// versions derive through the kernels' DeriveReadBatch.
+  virtual Status ScanVersionBatch(TvId tv, RowBatch* out) = 0;
 
   /// Looks up one row of table version `tv` by key.
   virtual Result<std::optional<Row>> FindVersion(TvId tv, int64_t key) = 0;
@@ -152,20 +150,20 @@ class Kernel {
   /// projection-only hops collapse into one composed column program.
   virtual bool ProjectionOnly() const { return false; }
 
-  /// Derives the content of the `which`-th data table on side `side` (the
-  /// non-physical side) from the physical side. With `key`, restricts the
-  /// derivation to that key (point lookup); rows are appended to `out`
-  /// via Upsert.
-  virtual Status Derive(const SmoContext& ctx, SmoSide side, int which,
-                        std::optional<int64_t> key, Table* out) const = 0;
+  /// Point read: derives the row with key `key` of the `which`-th data
+  /// table on side `side` (the non-physical side) from the physical side,
+  /// or nullopt when that table has no such row. The paper's view for the
+  /// table, filtered by the key.
+  virtual Result<std::optional<Row>> Derive(const SmoContext& ctx,
+                                            SmoSide side, int which,
+                                            int64_t key) const = 0;
 
-  /// Batch read entry point: derives the full content of the `which`-th
-  /// table on side `side` into a columnar batch. Kernels whose mapping is
-  /// projection- or filter-shaped override this with whole-column
-  /// execution; the default falls back to row-at-a-time Derive through a
-  /// scratch table, so exotic kernels stay correct without batch code.
+  /// Full scan: derives the whole content of the `which`-th table on side
+  /// `side` into a columnar batch, appended in ascending key order. The
+  /// only scan entry point; projection- and filter-shaped mappings run as
+  /// whole-column operations.
   virtual Status DeriveReadBatch(const SmoContext& ctx, SmoSide side,
-                                 int which, RowBatch* out) const;
+                                 int which, RowBatch* out) const = 0;
 
   /// Derives the content of auxiliary table `aux_short_name` (as it would
   /// be if `aux_side` became the data side). Used by migration when the
@@ -215,11 +213,9 @@ using RowMap = std::map<int64_t, Row>;
 /// Materializes a full table version through the backend into a map.
 Result<RowMap> CollectVersion(AccessBackend* backend, TvId tv);
 
-/// Row-major <-> columnar conversions between Table and RowBatch (kept out
-/// of RowBatch itself so src/types stays independent of storage).
-/// BatchFromTable appends the rows in ascending key order.
+/// Appends the rows of `table` to a columnar batch in ascending key order
+/// (kept out of RowBatch itself so src/types stays independent of storage).
 Status BatchFromTable(const Table& table, RowBatch* out);
-Status BatchToTable(const RowBatch& batch, Table* out);
 
 }  // namespace inverda
 

@@ -14,8 +14,12 @@ class FusedColumnKernel : public Kernel {
  public:
   const char* name() const override { return "fused-column"; }
   bool ProjectionOnly() const override { return true; }
-  Status Derive(const SmoContext&, SmoSide, int, std::optional<int64_t>,
-                Table*) const override {
+  Result<std::optional<Row>> Derive(const SmoContext&, SmoSide, int,
+                                    int64_t) const override {
+    return Status::Internal("fused marker kernel is not executable");
+  }
+  Status DeriveReadBatch(const SmoContext&, SmoSide, int,
+                         RowBatch*) const override {
     return Status::Internal("fused marker kernel is not executable");
   }
   Status Propagate(const SmoContext&, SmoSide, int,
@@ -195,20 +199,13 @@ std::vector<PlanStep> FuseSteps(std::vector<PlanStep> steps) {
   return out;
 }
 
-Status FusedDerive(const PlanStep& step, std::optional<int64_t> key,
-                   Table* out) {
+Result<std::optional<Row>> FusedDerive(const PlanStep& step, int64_t key) {
   AccessBackend* backend = step.ctx.backend;
-  if (key) {
-    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
-                             backend->FindVersion(step.next, *key));
-    if (!row) return Status::OK();
-    INVERDA_RETURN_IF_ERROR(
-        ApplyProgramRow(*step.program, *backend, *key, &*row));
-    return out->Upsert(*key, std::move(*row));
-  }
-  RowBatch batch;
-  INVERDA_RETURN_IF_ERROR(FusedDeriveBatch(step, &batch));
-  return BatchToTable(batch, out);
+  INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
+                           backend->FindVersion(step.next, key));
+  if (!row) return row;
+  INVERDA_RETURN_IF_ERROR(ApplyProgramRow(*step.program, *backend, key, &*row));
+  return row;
 }
 
 Status FusedDeriveBatch(const PlanStep& step, RowBatch* out) {

@@ -51,13 +51,12 @@ const Kernel* FusedColumnMarker();
 /// materialization) is left unfused rather than failing the compile.
 std::vector<PlanStep> FuseSteps(std::vector<PlanStep> steps);
 
-/// Executes a fused step's read path: one backend access of the inner
+/// Executes a fused step's point read: one backend lookup of the inner
 /// boundary version plus the composed program, instead of one backend
 /// recursion per original hop.
-Status FusedDerive(const PlanStep& step, std::optional<int64_t> key,
-                   Table* out);
+Result<std::optional<Row>> FusedDerive(const PlanStep& step, int64_t key);
 
-/// Batch form of FusedDerive: scans the inner version into a columnar
+/// Executes a fused step's scan: scans the inner version into a columnar
 /// batch once and applies the program as whole-column inserts/erases.
 Status FusedDeriveBatch(const PlanStep& step, RowBatch* out);
 

@@ -9,9 +9,9 @@
 namespace inverda {
 namespace plan {
 
-Status PlanStep::Derive(std::optional<int64_t> key, Table* out) const {
-  if (is_fused()) return FusedDerive(*this, key, out);
-  return kernel->Derive(ctx, side, index, key, out);
+Result<std::optional<Row>> PlanStep::Derive(int64_t key) const {
+  if (is_fused()) return FusedDerive(*this, key);
+  return kernel->Derive(ctx, side, index, key);
 }
 
 Status PlanStep::DeriveBatch(RowBatch* out) const {

@@ -63,13 +63,13 @@ struct PlanStep {
     return is_fused() ? static_cast<int>(fused.size()) : 1;
   }
 
-  /// Derives the planned version's content into `out` (restricted to `key`
-  /// if given) — the read entry point that skips per-call context assembly.
-  /// Fused steps run their composed program off one inner access.
-  Status Derive(std::optional<int64_t> key, Table* out) const;
+  /// Point read: derives the planned version's row with key `key` (nullopt
+  /// when absent) without per-call context assembly. Fused steps run their
+  /// composed program off one inner lookup.
+  Result<std::optional<Row>> Derive(int64_t key) const;
 
-  /// Batch read: derives the full planned version into a columnar batch,
-  /// through the kernel's batch entry point (or the fused program).
+  /// Scan: derives the full planned version into a columnar batch, through
+  /// the kernel's DeriveReadBatch (or the fused program).
   Status DeriveBatch(RowBatch* out) const;
 
   /// Propagates `writes` issued against the planned version one hop toward
@@ -89,11 +89,6 @@ struct TvPlan {
   const TableSchema* schema = nullptr;  // payload schema of the version
   bool physical = false;                // Figure 6 case 1: `steps` is empty
 
-  /// False for the shallow per-access form compiled when the plan cache is
-  /// disabled (the legacy-resolution baseline): only the first hop is
-  /// resolved and the footprint/traversal closure is skipped.
-  bool full = true;
-
   /// True when executing the plan's read path can mutate shared state: an
   /// SMO on the access paths is id-generating (DECOMPOSE ON FK/condition,
   /// JOIN ON condition assign fresh ids during Derive). The access layer
@@ -106,8 +101,7 @@ struct TvPlan {
   /// kernels reach the remaining chain by recursing through the backend.
   std::vector<PlanStep> steps;
 
-  /// Physical data table terminating the chain above (set on full plans
-  /// and on physical shallow plans).
+  /// Physical data table terminating the chain above.
   std::string data_table;
 
   /// Every physical table (data and auxiliary) any access path of the

@@ -49,8 +49,7 @@ class LatchRegistry {
 ///  - coarse: global latch *exclusive* only — used for footprints of more
 ///    than kEscalationLimit tables (lock escalation; also keeps the
 ///    per-thread lock count within ThreadSanitizer's 64-lock
-///    deadlock-detector cap) and for legacy footprint-less accesses
-///    (AcquireGlobal).
+///    deadlock-detector cap).
 /// A coarse holder excludes every fine holder via the global latch, so an
 /// access never observes a table whose latch it skipped.
 class TableLatchSet {
@@ -72,15 +71,14 @@ class TableLatchSet {
   void Acquire(LatchRegistry* registry, std::vector<std::string> names,
                bool exclusive);
 
-  /// Latches the whole database exclusively (coarse granularity).
-  void AcquireGlobal(LatchRegistry* registry);
-
   /// True when the last Acquire escalated to the exclusive global latch.
   bool escalated() const { return escalated_; }
 
   void Release();
 
  private:
+  /// Latches the whole database exclusively (coarse granularity).
+  void AcquireGlobal(LatchRegistry* registry);
   void Push(std::shared_mutex* latch, bool exclusive);
 
   // Each held latch with the mode it was taken in (the global latch is

@@ -28,12 +28,6 @@ void RowBatch::Reserve(int64_t rows) {
   }
 }
 
-void RowBatch::Clear() {
-  keys_.clear();
-  for (std::vector<Value>& col : columns_) col.clear();
-  selected_.clear();
-}
-
 Status RowBatch::AppendRow(int64_t key, const Row& row) {
   if (num_columns_ < 0) {
     INVERDA_RETURN_IF_ERROR(SetNumColumns(static_cast<int>(row.size())));
@@ -146,22 +140,6 @@ int64_t RowBatch::selected_count() const {
   int64_t n = 0;
   for (uint8_t s : selected_) n += s != 0 ? 1 : 0;
   return n;
-}
-
-void RowBatch::Compact() {
-  if (selected_.empty()) return;
-  size_t w = 0;
-  for (size_t r = 0; r < keys_.size(); ++r) {
-    if (selected_[r] == 0) continue;
-    if (w != r) {
-      keys_[w] = keys_[r];
-      for (std::vector<Value>& col : columns_) col[w] = std::move(col[r]);
-    }
-    ++w;
-  }
-  keys_.resize(w);
-  for (std::vector<Value>& col : columns_) col.resize(w);
-  selected_.clear();
 }
 
 void RowBatch::ForEach(

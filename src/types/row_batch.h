@@ -11,13 +11,12 @@
 namespace inverda {
 
 /// A columnar batch of keyed rows: one value vector per payload column plus
-/// the key vector, with an optional selection bitmap. This is the unit the
-/// batch execution path moves between mapping kernels — where the
-/// row-at-a-time path pays a map insert and a Row allocation per tuple per
-/// chain hop, the batch path applies projection-shaped SMOs (ADD/DROP
-/// COLUMN, RENAME, DECOMPOSE projections) as whole-column operations:
-/// dropping a column is one vector erase, adding one is one vector insert,
-/// and filtering marks the selection bitmap without moving any data.
+/// the key vector, with an optional selection bitmap. This is the unit
+/// every scan moves between mapping kernels (Kernel::DeriveReadBatch): it
+/// applies projection-shaped SMOs (ADD/DROP COLUMN, RENAME, DECOMPOSE
+/// projections) as whole-column operations — dropping a column is one
+/// vector erase, adding one is one vector insert — and filtering marks the
+/// selection bitmap without moving any data.
 ///
 /// Invariants: every column vector has exactly size() entries; the
 /// selection bitmap is either empty (all rows selected) or size() long.
@@ -27,14 +26,9 @@ class RowBatch {
  public:
   RowBatch() = default;
 
-  /// A batch whose column count is known up front (e.g. from a plan's
-  /// payload schema), so structure ops work even when no row is appended.
-  explicit RowBatch(int num_columns) { SetNumColumns(num_columns); }
-
   /// Fixes the column count if not yet set (no-op when it already matches;
   /// fails on a conflicting width).
   Status SetNumColumns(int num_columns);
-  bool has_columns() const { return num_columns_ >= 0; }
   int num_columns() const { return num_columns_ < 0 ? 0 : num_columns_; }
 
   /// Rows in the batch, including deselected ones.
@@ -42,7 +36,6 @@ class RowBatch {
   bool empty() const { return keys_.empty(); }
 
   void Reserve(int64_t rows);
-  void Clear();
 
   /// Appends one keyed row (sets the column count from the first row when
   /// still unset). Fails when the row width conflicts.
@@ -84,8 +77,6 @@ class RowBatch {
 
   // --- selection bitmap ------------------------------------------------------
 
-  /// True when some rows are deselected (the bitmap is materialized).
-  bool has_selection() const { return !selected_.empty(); }
   bool selected(int64_t i) const {
     return selected_.empty() || selected_[static_cast<size_t>(i)] != 0;
   }
@@ -95,9 +86,6 @@ class RowBatch {
   void Deselect(int64_t i);
 
   int64_t selected_count() const;
-
-  /// Physically drops deselected rows and clears the bitmap.
-  void Compact();
 
   /// Calls `fn(key, row)` for every selected row, in batch order. Each row
   /// is gathered once (row-major callers; columnar consumers should read

@@ -3,7 +3,8 @@
 
 // Shared machinery for property tests over *random genealogies*: a builder
 // that grows a random chain of schema versions with randomly chosen SMOs,
-// plus snapshot/diff helpers over every version's view. Used by
+// plus snapshot/diff helpers over every version's view (scanned or read
+// key by key) and over the cached plans. Used by
 // random_genealogy_test (bidirectionality under materialization) and by
 // the plan, verifier, migration, advisor and concurrency suites.
 
@@ -11,10 +12,12 @@
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "inverda/inverda.h"
+#include "plan/fused.h"
 #include "util/random.h"
 #include "util/strings.h"
 
@@ -169,6 +172,31 @@ inline std::map<std::string, std::vector<KeyedRow>> Snapshot(Inverda* db) {
   return out;
 }
 
+/// Every version's view of every table read key by key through Get, for
+/// every key the sequence has handed out so far ([1, Peek())): the point
+/// counterpart of Snapshot. A kernel's point derivation is separate code
+/// from its columnar scan, so the two must agree.
+inline std::map<std::string, std::vector<KeyedRow>> PointSnapshot(
+    Inverda* db) {
+  const int64_t end = db->db().sequence().Peek();
+  std::map<std::string, std::vector<KeyedRow>> out;
+  for (const std::string& version : db->catalog().VersionNames()) {
+    const SchemaVersionInfo* info = *db->catalog().FindVersion(version);
+    for (const auto& [table, tv] : info->tables) {
+      (void)tv;
+      std::vector<KeyedRow>& rows = out[version + "." + table];
+      for (int64_t key = 1; key < end; ++key) {
+        Result<std::optional<Row>> row = db->Get(version, table, key);
+        EXPECT_TRUE(row.ok()) << version << "." << table << "@" << key << ": "
+                              << row.status().ToString();
+        if (!row.ok()) break;
+        if (*row) rows.push_back(KeyedRow{key, std::move(**row)});
+      }
+    }
+  }
+  return out;
+}
+
 /// First difference between two snapshots, or "" when they agree.
 inline std::string DiffSnapshots(
     const std::map<std::string, std::vector<KeyedRow>>& a,
@@ -187,6 +215,72 @@ inline std::string DiffSnapshots(
                RowToString(rows_a[i].row) + " vs " +
                RowToString(it->second[i].row);
       }
+    }
+  }
+  return "";
+}
+
+/// Snapshot and PointSnapshot of `db`, scans first (a scan may assign
+/// generated ids, which the point reads then cover): "" when they agree in
+/// both directions, else the first difference.
+inline std::string DiffScansAndPointReads(Inverda* db) {
+  const auto scans = Snapshot(db);
+  const auto points = PointSnapshot(db);
+  std::string diff = DiffSnapshots(scans, points);
+  return diff.empty() ? DiffSnapshots(points, scans) : diff;
+}
+
+/// First difference between the plan cache's plan of every live table
+/// version and a fresh compile of it (compiler().Compile), or "" when every
+/// cached plan equals its fresh compile: same epoch, route, steps (fused
+/// runs and their column programs included), data table, footprint,
+/// traversed SMOs and latch mode.
+inline std::string DiffCachedPlans(Inverda* db) {
+  auto steps_text = [](const std::vector<plan::PlanStep>& steps) {
+    std::string out;
+    for (const plan::PlanStep& step : steps) {
+      out += "[" + std::to_string(step.smo) + " " +
+             std::to_string(static_cast<int>(step.route)) + " " +
+             std::to_string(static_cast<int>(step.side)) + " " +
+             std::to_string(step.index) + " " + step.kernel->name() + " " +
+             std::to_string(step.next);
+      if (step.program != nullptr) {
+        out += " inner" + std::to_string(step.program->inner_width);
+        for (const plan::ColumnOp& op : step.program->ops) {
+          out += " " + std::to_string(static_cast<int>(op.kind)) + ":" +
+                 std::to_string(op.index) + ":" + op.aux_table;
+        }
+      }
+      for (const plan::PlanStep& sub : step.fused) {
+        out += " " + std::to_string(sub.smo) + "/" + sub.kernel->name();
+      }
+      out += "]";
+    }
+    return out;
+  };
+  auto plan_text = [&](const plan::TvPlan& p) {
+    std::string out = p.label + " epoch " + std::to_string(p.epoch) +
+                      (p.physical ? " physical" : "") +
+                      (p.derive_mutates ? " mutates" : "") + " data " +
+                      p.data_table + " distance " +
+                      std::to_string(p.distance()) + " " +
+                      steps_text(p.steps) + " footprint";
+    for (const std::string& table : p.footprint) out += " " + table;
+    out += " smos";
+    for (SmoId id : p.traversed_smos) out += " " + std::to_string(id);
+    return out;
+  };
+  for (const std::string& version : db->catalog().VersionNames()) {
+    const SchemaVersionInfo* info = *db->catalog().FindVersion(version);
+    for (const auto& [table, tv] : info->tables) {
+      Result<const plan::TvPlan*> cached = db->access().GetPlan(tv);
+      Result<plan::TvPlan> fresh = db->access().compiler().Compile(tv);
+      if (!cached.ok() || !fresh.ok()) {
+        return version + "." + table + ": " +
+               (cached.ok() ? fresh.status() : cached.status()).ToString();
+      }
+      std::string a = plan_text(**cached), b = plan_text(*fresh);
+      if (a != b) return version + "." + table + ": " + a + " vs " + b;
     }
   }
   return "";

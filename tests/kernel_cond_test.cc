@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "genealogy_builder.h"
 #include "inverda/inverda.h"
 
 namespace inverda {
@@ -183,6 +184,44 @@ TEST_F(DecomposeCondTest, RoundTripAfterMigration) {
   EXPECT_EQ(db_.Select("V2", "Wine")->size(), wines);
   EXPECT_EQ(db_.Select("V1", "Pairing")->size(), pairings);
 }
+
+// OUTER and inner JOIN ON condition: scans equal point reads over the
+// whole key range, for every version, across MATERIALIZE 'V2' and back.
+// The condition kernel derives either side as a whole relation; its point
+// read and its scan must pick the same rows and ids.
+class CondScanTest : public ::testing::TestWithParam<bool> {};
+
+TEST_P(CondScanTest, ScansEqualPointReadsAcrossMaterialize) {
+  const bool outer = GetParam();
+  Inverda db;
+  ASSERT_TRUE(db.Execute(std::string("CREATE SCHEMA VERSION V1 WITH "
+                                     "CREATE TABLE Student(sname TEXT, lvl INT); "
+                                     "CREATE TABLE Course(cname TEXT, clvl INT);"
+                                     "CREATE SCHEMA VERSION V2 FROM V1 WITH ") +
+                         (outer ? "OUTER " : "") +
+                         "JOIN TABLE Student, Course INTO Enrolled "
+                         "ON lvl = clvl;")
+                  .ok());
+  for (const auto& [name, lvl] :
+       std::vector<std::pair<const char*, int64_t>>{{"Ann", 1}, {"Ben", 2}}) {
+    ASSERT_TRUE(db.Insert("V1", "Student", {Value::String(name), Value::Int(lvl)})
+                    .ok());
+  }
+  for (const auto& [name, lvl] : std::vector<std::pair<const char*, int64_t>>{
+           {"Math", 1}, {"Art", 1}, {"Chess", 3}}) {
+    ASSERT_TRUE(
+        db.Insert("V1", "Course", {Value::String(name), Value::Int(lvl)}).ok());
+  }
+  int round = 0;
+  for (const char* target : {"V1", "V2", "V1"}) {
+    ASSERT_TRUE(db.Materialize(MaterializeRequest::Targets({target})).ok());
+    EXPECT_EQ(testutil::DiffScansAndPointReads(&db), "")
+        << (outer ? "outer" : "inner") << " join, materialized " << target
+        << ", round " << round++;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(OuterAndInner, CondScanTest, ::testing::Bool());
 
 }  // namespace
 }  // namespace inverda

@@ -1,9 +1,12 @@
 // Randomized property test for compiled-plan correctness: grow a random
 // genealogy while interleaving evolutions, migrations, version drops, and
-// writes, and after every mutation assert that reads served through the
-// plan cache are byte-identical to a fresh uncached compile, and that the
-// cached propagation distances match fresh ones. This exercises the
-// materialization-epoch invalidation across all three mutation kinds.
+// writes, and after every mutation assert that every cached plan equals a
+// fresh compile, that reads served through the plan cache are
+// byte-identical to reads after the cache is dropped, and that every
+// version's scan equals its point reads over the whole key range. This
+// exercises the materialization-epoch invalidation across all three
+// mutation kinds and checks each kernel's point derivation against its
+// columnar scan.
 
 #include <gtest/gtest.h>
 
@@ -61,46 +64,39 @@ TEST(PlanPropertyTest, CompiledPlansMatchFreshCompileUnderMutations) {
 
       for (int i = 0; i < 2; ++i) testutil::RandomInsert(&db, &rng, live());
 
-      // Reads through cached plans vs. a fresh compile per access.
-      auto compiled = testutil::Snapshot(&db);
-      db.access().set_plan_cache_enabled(false);
-      auto fresh = testutil::Snapshot(&db);
-      db.access().set_plan_cache_enabled(true);
-      EXPECT_EQ(testutil::DiffSnapshots(compiled, fresh), "")
+      // Reads through cached plans vs. reads after every cached plan is
+      // dropped (re-setting the fusion flag clears the cache), and each
+      // cached plan vs. a fresh compile.
+      auto cached = testutil::Snapshot(&db);
+      EXPECT_EQ(testutil::DiffCachedPlans(&db), "")
+          << "seed " << seed << " step " << step;
+      db.access().set_fusion_enabled(db.access().fusion_enabled());
+      auto recompiled = testutil::Snapshot(&db);
+      EXPECT_EQ(testutil::DiffSnapshots(cached, recompiled), "")
           << "seed " << seed << " step " << step;
 
-      // Cached distances vs. fresh distances.
-      for (const std::string& version : live()) {
-        const SchemaVersionInfo* info = *db.catalog().FindVersion(version);
-        for (const auto& [table, tv] : info->tables) {
-          int cached_distance = *db.access().PropagationDistance(tv);
-          db.access().set_plan_cache_enabled(false);
-          int fresh_distance = *db.access().PropagationDistance(tv);
-          db.access().set_plan_cache_enabled(true);
-          EXPECT_EQ(cached_distance, fresh_distance)
-              << "seed " << seed << " step " << step << " " << version << "."
-              << table;
-        }
-      }
+      // Scans vs. point reads of every key.
+      EXPECT_EQ(testutil::DiffScansAndPointReads(&db), "")
+          << "seed " << seed << " step " << step;
     }
   }
 }
 
-// Randomized equivalence property for fusion and batch execution: two
-// instances grow the same random genealogy from the same seed and apply
-// the same inserts and migrations, one with fusion + batch execution on
-// (the default) and one with both off (the hop-by-hop row-at-a-time
-// baseline). After every step, every version's view must be byte-identical
-// across the instances, and fusion must not change propagation distances
-// (a fused step still counts the SMO hops it stands for).
-TEST(PlanPropertyTest, FusedBatchPathsMatchRowAtATimeUnfused) {
+// Randomized equivalence property for fusion: two instances grow the same
+// random genealogy from the same seed and apply the same inserts and
+// migrations, one with fusion on (the default) and one with it off (the
+// hop-by-hop baseline). After every step, every version's view must be
+// byte-identical across the instances, the fused instance's scans must
+// equal its point reads (the fused point and scan programs are separate
+// code), and fusion must not change propagation distances (a fused step
+// still counts the SMO hops it stands for).
+TEST(PlanPropertyTest, FusedPathsMatchUnfusedAndPointReads) {
   for (uint64_t base = 1; base <= 3; ++base) {
     const uint64_t seed = TestSeed(base + 100);
     INVERDA_TRACE_SEED(seed);
     Inverda fused_db;
     Inverda plain_db;
     plain_db.access().set_fusion_enabled(false);
-    plain_db.access().set_batch_enabled(false);
     testutil::GenealogyBuilder fused_builder(&fused_db, seed);
     testutil::GenealogyBuilder plain_builder(&plain_db, seed);
     ASSERT_TRUE(fused_builder.Init().ok());
@@ -133,12 +129,7 @@ TEST(PlanPropertyTest, FusedBatchPathsMatchRowAtATimeUnfused) {
       EXPECT_EQ(testutil::DiffSnapshots(fused_snap, plain_snap), "")
           << "seed " << seed << " step " << step;
 
-      // A fused instance with batching toggled off exercises the fused
-      // row-path (FusedDerive through a scratch table) — same bytes again.
-      fused_db.access().set_batch_enabled(false);
-      auto fused_row_snap = testutil::Snapshot(&fused_db);
-      fused_db.access().set_batch_enabled(true);
-      EXPECT_EQ(testutil::DiffSnapshots(fused_snap, fused_row_snap), "")
+      EXPECT_EQ(testutil::DiffScansAndPointReads(&fused_db), "")
           << "seed " << seed << " step " << step;
 
       for (const std::string& version : fused_builder.versions()) {

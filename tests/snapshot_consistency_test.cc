@@ -7,9 +7,10 @@
 //     reader that catches a torn route (half pre-flip, half post-flip)
 //     would see wrong rows.
 //  2. Single-threaded property: after any sequence of epoch bumps and
-//     writes, a read served through the plan cache equals a fresh compile
-//     with the cache disabled — a plan held across an epoch bump is either
-//     re-resolved or still describes the old, consistent route.
+//     writes, every cached plan equals a fresh compile and a read served
+//     through the plan cache equals one after the cache is dropped — a
+//     plan held across an epoch bump is either re-resolved or still
+//     describes the old, consistent route.
 //
 // Replay a failing run with INVERDA_TEST_SEED=<seed>.
 
@@ -108,9 +109,10 @@ TEST(SnapshotConsistencyTest, ConcurrentReadersSeeOnlyTheOneSnapshot) {
 }
 
 // Single-threaded epoch property over random genealogies: a cached plan is
-// never served across an epoch bump — reads through the plan cache always
-// equal a fresh compile, and GetPlan after a bump returns a re-resolved
-// plan stamped with the new epoch.
+// never served across an epoch bump — every cached plan equals a fresh
+// compile, reads through the plan cache equal reads after the cache is
+// dropped, and GetPlan after a bump returns a re-resolved plan stamped with
+// the new epoch.
 class EpochResolveTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EpochResolveTest, CachedReadsEqualFreshCompileAcrossEpochBumps) {
@@ -135,7 +137,6 @@ TEST_P(EpochResolveTest, CachedReadsEqualFreshCompileAcrossEpochBumps) {
 
   for (int round = 0; round < 8; ++round) {
     // Warm the plan cache with a full read of every version.
-    db.access().set_plan_cache_enabled(true);
     (void)testutil::Snapshot(&db);
     Result<const plan::TvPlan*> before = db.access().GetPlan(watched);
     ASSERT_TRUE(before.ok()) << before.status().ToString();
@@ -154,11 +155,15 @@ TEST_P(EpochResolveTest, CachedReadsEqualFreshCompileAcrossEpochBumps) {
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     EXPECT_GE((*after)->epoch, epoch_before);
 
-    // Cached-plan reads equal a fresh, cache-disabled resolution.
+    // Cached plans equal fresh compiles, and cached-plan reads equal reads
+    // after every cached plan is dropped (re-setting the fusion flag clears
+    // the cache).
     auto cached = testutil::Snapshot(&db);
-    db.access().set_plan_cache_enabled(false);
+    std::string plan_diff = testutil::DiffCachedPlans(&db);
+    ASSERT_TRUE(plan_diff.empty()) << "seed " << seed << ", round " << round
+                                   << ": cached plan is stale: " << plan_diff;
+    db.access().set_fusion_enabled(db.access().fusion_enabled());
     auto fresh = testutil::Snapshot(&db);
-    db.access().set_plan_cache_enabled(true);
     std::string diff = testutil::DiffSnapshots(fresh, cached);
     ASSERT_TRUE(diff.empty()) << "seed " << seed << ", round " << round
                               << ": cached plan served stale route: "

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "expr/parser.h"
+#include "genealogy_builder.h"
 #include "handwritten/reference_sql.h"
 #include "inverda/inverda.h"
 
@@ -182,6 +183,31 @@ TEST_F(TaskyTest, AllVersionsAgreeOnTaskCount) {
   EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 6u);
   EXPECT_EQ(db_.Select("TasKy2", "Task")->size(), 6u);
   EXPECT_EQ(db_.Select("Do!", "Todo")->size(), 3u);  // prio-1 tasks only
+}
+
+// Under each of TasKy's five valid materializations, after a write through
+// TasKy and one through Do!, every version's scan equals its point reads
+// over the whole key range. TasKy2 reads through the FK kernel and Do!
+// through the partition kernel; each has separate point and scan code.
+TEST_F(TaskyTest, ScansEqualPointReadsUnderEveryMaterialization) {
+  Result<std::vector<std::set<SmoId>>> schemas =
+      db_.catalog().EnumerateValidMaterializations();
+  ASSERT_TRUE(schemas.ok()) << schemas.status().ToString();
+  ASSERT_EQ(schemas->size(), 5u);
+  int round = 0;
+  for (const std::set<SmoId>& schema : *schemas) {
+    Status s = db_.Materialize(MaterializeRequest::Schema(schema));
+    ASSERT_TRUE(s.ok()) << "materialization " << round << ": " << s.ToString();
+    const std::string n = std::to_string(round);
+    Insert("Ann", ("Plan round " + n).c_str(), 1);
+    ASSERT_TRUE(db_.Insert("Do!", "Todo",
+                           {Value::String("Zed" + n),
+                            Value::String("Todo round " + n)})
+                    .ok());
+    EXPECT_EQ(testutil::DiffScansAndPointReads(&db_), "")
+        << "materialization " << round;
+    ++round;
+  }
 }
 
 }  // namespace

@@ -2,10 +2,11 @@
 // dynamic oracle: grow a random genealogy with interleaved evolutions,
 // migrations and writes, and at every step (a) the plan verifier must
 // prove round-trip, fusion and lock order for every compiled plan, and
-// (b) the dynamic two-instance lockstep oracle — the same genealogy and
-// workload replayed on an instance with fusion disabled — must agree that
-// every version's view is byte-identical. A static "verified" verdict on a
-// plan the oracle refutes (or vice versa) is the bug this test hunts.
+// (b) the dynamic oracles must agree: the same genealogy and workload
+// replayed on an instance with fusion disabled exposes byte-identical
+// views, and on both instances every version's scan equals its point reads
+// over the whole key range. A static "verified" verdict on a plan the
+// oracles refute (or vice versa) is the bug this test hunts.
 //
 // Replay a failing run with INVERDA_TEST_SEED=<seed>.
 
@@ -29,10 +30,9 @@ TEST_P(VerifierPropertyTest, StaticVerdictAgreesWithTheLockstepOracle) {
   const uint64_t seed = TestSeed(GetParam());
   INVERDA_TRACE_SEED(seed);
   Inverda verified_db;  // fusion + verify gate on: what the verifier sees
-  Inverda plain_db;     // the dynamic oracle: unfused row-at-a-time chains
+  Inverda plain_db;     // the lockstep oracle: unfused hop-by-hop chains
   verified_db.access().set_verify_enabled(true);
   plain_db.access().set_fusion_enabled(false);
-  plain_db.access().set_batch_enabled(false);
   testutil::GenealogyBuilder verified_builder(&verified_db, seed);
   testutil::GenealogyBuilder plain_builder(&plain_db, seed);
   ASSERT_TRUE(verified_builder.Init().ok());
@@ -76,10 +76,15 @@ TEST_P(VerifierPropertyTest, StaticVerdictAgreesWithTheLockstepOracle) {
     EXPECT_EQ(verified_db.Metrics().value("plan_verify.fusion_rejected"), 0)
         << "seed " << seed << " step " << step;
 
-    // The dynamic verdict: both instances expose identical views.
+    // The dynamic verdict: both instances expose identical views, and
+    // each instance's scans equal its point reads.
     auto verified_snap = testutil::Snapshot(&verified_db);
     auto plain_snap = testutil::Snapshot(&plain_db);
     EXPECT_EQ(testutil::DiffSnapshots(verified_snap, plain_snap), "")
+        << "seed " << seed << " step " << step;
+    EXPECT_EQ(testutil::DiffScansAndPointReads(&verified_db), "")
+        << "seed " << seed << " step " << step;
+    EXPECT_EQ(testutil::DiffScansAndPointReads(&plain_db), "")
         << "seed " << seed << " step " << step;
   }
 }
